@@ -68,7 +68,7 @@ func run(args []string, out io.Writer) error {
 		duration   = fs.Uint64("duration", 0, "stabilization budget as a virtual-time duration in ticks, rounded up to whole shuffle rounds (requires -shuffle-interval; overrides -stabilize)")
 		fanout     = fs.Int("fanout", 4, "gossip fanout for Cyclon/Scamp (paper: 4)")
 		broadcast  = fs.String("broadcast", "gossip", "broadcast layer: gossip (flood/fanout) or plumtree")
-		shards     = fs.Int("shards", 1, "event-engine shards; >1 selects the parallel wave/barrier engine (same seed + same shard count reproduces the same run)")
+		shards     = fs.Int("shards", 0, "event-engine shards: 0 takes the engine default (the wave/barrier engine with sim.DefaultShards shards), 1 the serial heap engine, >1 that many wave-engine shards (same seed + same shard count reproduces the same run)")
 		latency    = fs.String("latency", "none", "latency model: none (FIFO), uniform, euclidean or transit")
 		optimize   = fs.String("optimize", "none", "overlay optimizer: none or xbot (HyParView only)")
 		pcts       = fs.String("pcts", "", "comma-separated failure percentages (default per experiment)")
@@ -118,8 +118,8 @@ func run(args []string, out io.Writer) error {
 		ShuffleInterval:     *shuffleIv,
 		Shards:              *shards,
 	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be >= 1 (got %d)", *shards)
+	if *shards < 0 {
+		return fmt.Errorf("-shards must be >= 0 (got %d)", *shards)
 	}
 	if *duration > 0 {
 		if *shuffleIv == 0 {

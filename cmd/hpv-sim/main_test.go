@@ -188,6 +188,39 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
+// TestRunShardsFlag pins the -shards contract: 0 (the default) and every
+// explicit engine choice print the same tables for a fault-free experiment,
+// and negative counts are rejected.
+func TestRunShardsFlag(t *testing.T) {
+	tables := func(shards string) string {
+		var out strings.Builder
+		args := []string{"-exp", "fig2", "-n", "300", "-stabilize", "5", "-msgs", "10", "-pcts", "50"}
+		if shards != "" {
+			args = append(args, "-shards", shards)
+		}
+		if err := run(args, &out); err != nil {
+			t.Fatalf("-shards %q: %v", shards, err)
+		}
+		var kept []string
+		for _, line := range strings.Split(out.String(), "\n") {
+			if !strings.Contains(line, " done in ") { // wall-clock timing
+				kept = append(kept, line)
+			}
+		}
+		return strings.Join(kept, "\n")
+	}
+	def := tables("")
+	for _, shards := range []string{"0", "1", "4"} {
+		if got := tables(shards); got != def {
+			t.Errorf("-shards %s output differs from the default engine's:\n%s\nvs\n%s", shards, got, def)
+		}
+	}
+	var out strings.Builder
+	if err := run([]string{"-exp", "fig2", "-shards", "-1"}, &out); err == nil {
+		t.Error("-shards -1 accepted")
+	}
+}
+
 func TestRunDurationMode(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{

@@ -225,7 +225,9 @@ type Broadcaster = gossip.Broadcaster
 type PubSubConfig = pubsub.Config
 
 // PubSubHandler receives topic deliveries: topic, payload, and the gossip
-// hop count at delivery time.
+// hop count at delivery time. In a simulated cluster on the default
+// (wave/barrier) engine, handlers of nodes on different shards run
+// concurrently: a handler shared across nodes must guard its state.
 type PubSubHandler = pubsub.Handler
 
 // PubSubStats is a cumulative snapshot of a router's publish, batching and

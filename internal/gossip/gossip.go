@@ -203,6 +203,16 @@ func (n *Node) Deliver(from id.ID, m msg.Message) {
 	n.receiveGossip(from, &m)
 }
 
+// DeliverRef implements peer.RefDeliverer: Deliver without the by-value
+// copy. receiveGossip only reads *m (forwards go out on fwdScratch).
+func (n *Node) DeliverRef(from id.ID, m *msg.Message) {
+	if m.Type != msg.Gossip {
+		n.membership.Deliver(from, *m)
+		return
+	}
+	n.receiveGossip(from, m)
+}
+
 // OnCycle implements peer.Process by delegating to the membership protocol.
 func (n *Node) OnCycle() { n.membership.OnCycle() }
 

@@ -2,6 +2,8 @@ package gossip
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"hyparview/internal/id"
@@ -164,6 +166,33 @@ func TestPeerDownNotReportedWhenDisabled(t *testing.T) {
 	}
 }
 
+// TestDeliverRefMatchesDeliver pins the by-reference delivery path: it
+// forwards and delegates exactly like Deliver and leaves the caller's
+// message untouched (forwards go out on the node's own copy).
+func TestDeliverRefMatchesDeliver(t *testing.T) {
+	env := newFakeEnv(1)
+	mem := &fakeMembership{neighbors: []id.ID{2, 3, 4}}
+	n := New(env, mem, Config{Mode: Flood}, nil)
+	g := msg.Message{Type: msg.Gossip, Sender: 2, Round: 9, Hops: 3}
+	orig := g
+	n.DeliverRef(2, &g)
+	if !reflect.DeepEqual(g, orig) {
+		t.Errorf("DeliverRef mutated its argument: %+v", g)
+	}
+	if len(env.sent) != 2 || env.sent[0].m.Hops != 4 {
+		t.Fatalf("forwards = %+v, want 2 at hop 4", env.sent)
+	}
+	n.DeliverRef(3, &g)
+	sh := msg.Message{Type: msg.Shuffle, Sender: 2}
+	n.DeliverRef(2, &sh)
+	if d, dup, fwd, _ := n.Counters(); d != 1 || dup != 1 || fwd != 2 {
+		t.Errorf("counters = %d %d %d, want 1 1 2", d, dup, fwd)
+	}
+	if len(mem.delivered) != 1 || mem.delivered[0].Type != msg.Shuffle {
+		t.Error("membership message not delegated")
+	}
+}
+
 func TestNonGossipDelegatedToMembership(t *testing.T) {
 	env := newFakeEnv(1)
 	mem := &fakeMembership{}
@@ -276,6 +305,47 @@ func TestTracker(t *testing.T) {
 	}
 	if tr.Reliability(r1, 0) != 0 {
 		t.Error("zero population reliability must be 0")
+	}
+}
+
+// TestStripedTracker pins the striped tracker: deliveries recorded through
+// different stripes, concurrently, read back as one round — counts and hop
+// sums add, the hop maximum spans the stripes — and Forget and Reset clear
+// every stripe.
+func TestStripedTracker(t *testing.T) {
+	tr := NewStripedTracker(3)
+	r := tr.NextRound()
+	var wg sync.WaitGroup
+	for i, hops := range []int{2, 7, 3} {
+		deliver := tr.Stripe(i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 100; k++ {
+				deliver(r, 0, nil, hops)
+			}
+		}()
+	}
+	wg.Wait()
+	tr.Deliver(r, 0, nil, 0) // Deliver writes the first stripe
+	if got := tr.Delivered(r); got != 301 {
+		t.Errorf("Delivered = %d, want 301", got)
+	}
+	if got := tr.MaxHops(r); got != 7 {
+		t.Errorf("MaxHops = %d, want 7", got)
+	}
+	if got, want := tr.AvgHops(r), 1200.0/301; got != want {
+		t.Errorf("AvgHops = %v, want %v", got, want)
+	}
+	tr.Forget(r)
+	if tr.Delivered(r) != 0 {
+		t.Error("Forget kept a stripe")
+	}
+	r2 := tr.NextRound()
+	tr.Stripe(2)(r2, 0, nil, 1)
+	tr.Reset()
+	if tr.Delivered(r2) != 0 {
+		t.Error("Reset kept a stripe")
 	}
 }
 

@@ -8,14 +8,25 @@
 //     simulator keys everything by a dense node index: the id→index map is
 //     consulted once per Send, and the hot delivery path is pure slice
 //     access, which is what makes 100k-node populations practical.
-//   - All deliveries flow through a single timestamped event heap ordered by
-//     (virtual time, send sequence). Without a latency model every message
-//     is scheduled with delay 0, so heap order degenerates to exactly the
-//     old FIFO order; with a Latency function installed, messages are
+//   - Deliveries happen in (virtual time, send sequence) order. Without a
+//     latency model every message is scheduled with delay 0, so that order
+//     degenerates to FIFO; with a Latency function installed, messages are
 //     delayed per link and the virtual clock advances to each event's
-//     timestamp. Event payloads live in a pooled slab recycled through a
-//     free list, so a long run allocates no per-event garbage beyond the
+//     timestamp. A long run allocates no per-event garbage beyond the
 //     messages themselves.
+//   - Two engines execute that order. The wave/barrier engine (shards.go,
+//     NewSharded with two or more shards) is the one simulated clusters run
+//     by default: it delivers all events due at an instant as a wave, large
+//     waves in parallel across shards, and sequences their output at a
+//     barrier. The serial heap engine (New, or NewSharded with one shard)
+//     pops one event at a time off a 4-ary heap over a pooled slab; it is
+//     kept as the reference the conformance and determinism tests compare
+//     the wave engine against. Without an Intercept hook the two produce
+//     byte-identical traces at every shard count. With one, hook re-entry
+//     (Redeliver) sequences differently on the heap engine, so injected
+//     traces are pinned per shard count — which is why callers default to a
+//     constant shard count (sim.DefaultShards), never to GOMAXPROCS: the
+//     same seed must give the same run on every host.
 //   - The simulator implements peer.Scheduler: protocols schedule one-shot
 //     timers (After) and periodic rounds (Every) as self-addressed messages
 //     on the same heap, interleaved in time order with network traffic.
@@ -36,11 +47,13 @@
 //     externally-driven cycle mode.
 //
 // The simulator is not safe for concurrent use; experiments own one Sim each.
+// On the wave engine, process handlers (and the Delivery callbacks they
+// invoke) of nodes on different shards run concurrently; nodes never share
+// a shard's state, but callbacks into host code must guard what they share.
 package netsim
 
 import (
 	"fmt"
-	"sync"
 
 	"hyparview/internal/id"
 	"hyparview/internal/msg"
@@ -156,28 +169,48 @@ type Sim struct {
 	now uint64 // virtual clock
 	seq uint64 // scheduling sequence for deterministic tie-breaking
 
-	// shards, when non-empty, switches the simulator to the sharded
-	// wave/barrier engine (see shards.go): the heap/slab machinery above is
-	// idle and every event lives in per-shard time buckets instead. Built by
-	// NewSharded; nil for the classic single-shard engine.
+	// shards, when non-empty, switches the simulator to the wave/barrier
+	// engine (see shards.go): the heap/slab machinery above stays empty and
+	// every event lives in the wave engine's stores below instead. Built by
+	// NewSharded; nil for the serial heap engine.
 	shards []shard
-	// inWave is true while shard goroutines are delivering a wave: endpoint
-	// sends and timer registrations record into per-shard output logs
-	// instead of sequencing immediately.
+	// future holds the wave engine's pending instants, latest first; bpool
+	// recycles their vectors. periodic is the (at, seq) heap of periodic
+	// registrations and due its scratch for the instant being formed.
+	future   []bucket
+	bpool    [][]sevent
+	periodic []sevent
+	due      []sevent
+	// held is the bucket the current instant's wave points into; imm holds
+	// events sequenced from coordinator context at the current instant.
+	// Both are released when the instant quiesces.
+	held   []sevent
+	imm    []sevent
+	queued int // events in buckets and next-wave vectors (Pending)
+	// inWave is true while shards are delivering a wave: endpoint sends and
+	// timer registrations record into per-shard output logs instead of
+	// sequencing immediately.
 	inWave bool
 	// instantActive is true while runInstant is processing an instant:
 	// delay-0 traffic joins the instant's next wave rather than a bucket.
 	instantActive bool
-	// waveWG is reused across waves so the parallel fan-out allocates
-	// nothing in steady state; waveParallel gates the fan-out on a
-	// multi-P runtime (captured at NewSharded).
-	waveWG       sync.WaitGroup
+	// serial is true while runSerial delivers: delay-0 traffic joins the
+	// tail of fifo, its global delivery queue.
+	serial bool
+	fifo   []*sevent
+	// waveParallel gates the worker handoff on a multi-P runtime (captured
+	// at NewSharded); crew holds the workers, started by the first parallel
+	// wave.
 	waveParallel bool
+	crew         *crew
+	shardMask    int     // shard count - 1 when it is a power of two, else 0
+	watchBuf     []id.ID // flushDowns scratch
 
 	// watchers maps a watched node to the set of nodes holding an open
 	// connection to it; when it fails, live watchers implementing
 	// peer.FailureObserver receive OnPeerDown (a TCP reset, delivered at
-	// the next Drain).
+	// the next Drain). Heap engine only (nil on the wave engine, whose
+	// shards keep per-node sorted watcher lists instead).
 	watchers     map[id.ID]map[id.ID]struct{}
 	pendingDowns []id.ID
 
@@ -225,14 +258,17 @@ type Sim struct {
 	Intercept func(node id.ID, m *msg.Message) (*msg.Message, bool)
 }
 
-// New returns an empty simulator seeded with seed.
+// New returns an empty simulator seeded with seed, running the single-shard
+// heap engine: the reference the wave engine is checked against.
 func New(seed uint64) *Sim {
-	return &Sim{
-		rand:     rng.New(seed),
-		index:    make(map[id.ID]int32),
-		dense:    true,
-		watchers: make(map[id.ID]map[id.ID]struct{}),
-	}
+	s := newSim(seed)
+	s.watchers = make(map[id.ID]map[id.ID]struct{})
+	return s
+}
+
+// newSim returns the engine-independent core of a simulator.
+func newSim(seed uint64) *Sim {
+	return &Sim{rand: rng.New(seed), index: make(map[id.ID]int32), dense: true}
 }
 
 // nodeIndex translates a node identifier to its table index. In the dense
@@ -818,7 +854,7 @@ func (s *Sim) Fail(nodeID id.ID) {
 	s.setAliveBit(ni, false)
 	s.alive--
 	if s.sharded() {
-		if s.watchedSharded(nodeID) {
+		if s.watchedSharded(ni) {
 			s.pendingDowns = append(s.pendingDowns, nodeID)
 		}
 	} else if len(s.watchers[nodeID]) > 0 {
@@ -848,7 +884,7 @@ func (s *Sim) Revive(nodeID id.ID) {
 			if ev.kind == kindPeriodic {
 				s.enqueuePeriodic(s.now+ev.interval, s.seq, &ev)
 			} else {
-				s.enqueueAt(s.now, s.seq, &ev)
+				s.enqueueAt(s.now, s.seq, ev.to).ev = ev
 			}
 			continue
 		}
@@ -932,7 +968,7 @@ func (s *Sim) Stats() Stats {
 // timers (periodic registrations are standing and not counted).
 func (s *Sim) Pending() int {
 	if s.sharded() {
-		return s.pendingSharded()
+		return s.queued
 	}
 	return len(s.heap)
 }

@@ -1,30 +1,32 @@
-// The sharded wave/barrier engine: the multi-core execution mode of the
-// simulator (NewSharded with shards >= 2). The single-shard engine in
-// netsim.go processes one event at a time off a global heap; this engine
-// partitions the node table by dense index (idx mod shards), keeps every
-// shard's pending events in per-instant FIFO bucket vectors, and advances
-// virtual time as a sequence of deterministic barrier steps:
+// The sharded wave/barrier engine: the event engine every simulated cluster
+// runs by default (NewSharded with shards >= 2). The single-shard engine in
+// netsim.go processes one event at a time off a global heap and stays as the
+// reference the conformance suite compares against; this engine partitions
+// the node table by dense index (idx mod shards) and advances virtual time
+// as a sequence of deterministic barrier steps:
 //
 //  1. Wave formation (coordinator): the wave is every event due at the
-//     current instant T — the shard's bucket for T plus, in RunFor, due
-//     periodic rounds — each already in (at, seq) order.
+//     current instant T — the instant's bucket plus, in RunFor, due periodic
+//     rounds — in (at, seq) order, split into per-shard wave vectors by
+//     destination.
 //  2. Hook pre-pass (coordinator, only when Tap or Intercept is installed):
 //     the wave is walked across all shards in global seq order and the
 //     fault-injection hook and trace tap run serially, exactly as the
 //     single-shard engine would run them. This is what keeps stateful
 //     injectors byte-deterministic: hook state evolves in a canonical
 //     order no matter how many shards execute the deliveries.
-//  3. Parallel delivery: each shard delivers its slice of the wave to its
-//     own nodes, in seq order per node. Handler output — sends, timers,
-//     periodic re-arms — is not enqueued yet; it is recorded in a per-shard
-//     output log tagged (parent seq, birth index).
+//  3. Delivery: each shard delivers its slice of the wave to its own nodes,
+//     in seq order per node — on persistent worker goroutines for large
+//     waves, on the coordinator for small ones. Handler output — sends,
+//     timers, periodic re-arms — is not enqueued yet; it is recorded in a
+//     per-shard output log tagged (parent seq, birth index).
 //  4. Canonical merge (coordinator): the shards' output logs, each already
 //     sorted by (parent seq, birth index), are S-way merged in that order;
 //     every record is assigned the next global sequence number, latency
 //     delays are drawn from the root stream in merge order, and the event
-//     is routed to its destination shard's bucket. Delay-0 output forms the
-//     next wave at the same instant; the loop repeats until the instant
-//     quiesces, then time advances to the next bucket.
+//     is routed to its destination. Delay-0 output forms the next wave at
+//     the same instant; the loop repeats until the instant quiesces, then
+//     time advances to the next bucket.
 //
 // Because a FIFO-ordered serial run is exactly "waves processed in (parent
 // seq, birth) order", the merge reproduces the single-shard engine's total
@@ -33,16 +35,23 @@
 // traffic (and byte-identical across repeated runs of the same shard count
 // always — the determinism contract sharding must preserve).
 //
+// Event records are copied as little as possible. A handler's send is
+// written once, into its shard's output log; the wave that delivers it holds
+// only a pointer to that record. Output logs are double-buffered per wave, so
+// a log is overwritten only after the wave that consumed it. Only traffic
+// bound for a later instant is copied again, into that instant's bucket.
+//
 // Shared mutable state during a parallel wave is confined to: the shard's
-// own buckets/outputs/stats, the destination node's process state (every
-// node belongs to exactly one shard), and whatever the host application's
-// Delivery callbacks touch — those must be synchronized by the caller when
-// shards >= 2 (the sim harness guards its tracker with a mutex).
+// own wave vectors/output log/stats/watch table, the destination node's
+// process state (every node belongs to exactly one shard), and whatever the
+// host application's Delivery callbacks touch — those must be synchronized
+// by the caller (the sim harness stripes its tracker by shard).
 package netsim
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"hyparview/internal/id"
@@ -51,8 +60,8 @@ import (
 )
 
 // parallelMinWave is the smallest wave (events across all shards) worth
-// fanning out to shard goroutines; smaller waves are processed serially by
-// the coordinator, which is both faster (no wakeup latency) and identical in
+// handing to the shard workers; smaller waves are processed serially by the
+// coordinator, which is both faster (no wakeup latency) and identical in
 // outcome (shard slices touch disjoint state either way).
 const parallelMinWave = 64
 
@@ -62,21 +71,21 @@ const parallelMinWave = 64
 // cached when the cursor arrives.
 const waveLookahead = 12
 
-// sevent is one scheduled event in a shard's bucket, wave or periodic heap.
+// sevent is one scheduled event: an output-log entry, a bucket entry or a
+// periodic registration. Waves hold pointers to sevents, never copies.
 type sevent struct {
-	at   uint64 // delivery instant (bucket entries: the bucket's time)
-	seq  uint64 // global sequence number, the deterministic tiebreaker
-	skip bool   // suppressed by the Intercept pre-pass (already counted)
-	ev   event
+	at    uint64 // delivery instant
+	seq   uint64 // global sequence number (output logs: assigned at the merge)
+	pseq  uint64 // output logs: seq of the event whose handler produced this one
+	birth uint32 // output logs: order among that handler's outputs (re-arm first)
+	skip  bool   // suppressed by the Intercept pre-pass (already counted)
+	ev    event
 }
 
-// outRec is one unit of handler output recorded during a parallel wave,
-// sequenced canonically at the barrier.
-type outRec struct {
-	pseq  uint64 // seq of the event whose handler produced this record
-	birth uint32 // order among that handler's outputs (re-arm first, then sends)
-	at    uint64 // absolute delivery time for timers and periodic re-arms
-	ev    event
+// bucket holds the events pending at one future instant, in seq order.
+type bucket struct {
+	at  uint64
+	evs []sevent
 }
 
 // shardStats are the per-shard slices of Stats, summed on read.
@@ -89,22 +98,16 @@ type shardStats struct {
 }
 
 // shard owns one partition of the node population (dense index mod shard
-// count) and all event state addressed to it.
+// count): the wave vectors addressed to it and the output log and counters
+// of its nodes' handlers.
 type shard struct {
 	sim *Sim
-	id  int
 
-	cur  []sevent // the wave slice being processed at the current instant
-	next []sevent // delay-0 outputs joining the next wave at the same instant
+	cur  []*sevent // the wave being processed at the current instant
+	next []*sevent // delay-0 events joining the next wave at the same instant
 
-	future map[uint64][]sevent // pending events keyed by instant
-	times  []uint64            // min-heap over future's keys
-	pool   [][]sevent          // recycled bucket vectors
-
-	pheap []sevent // periodic registrations, (at, seq) min-heap
-	due   []sevent // scratch: due periodics pulled for the current instant
-
-	out  []outRec // wave output log, (pseq, birth)-ordered by construction
+	out  []sevent // this wave's output log, (pseq, birth)-ordered by construction
+	prev []sevent // the previous wave's log, which cur may still point into
 	opos int      // merge cursor into out
 	ppos int      // pre-pass cursor into cur
 
@@ -116,17 +119,46 @@ type shard struct {
 	waveDelivered int // deliveries made in the current wave (coordinator-read)
 	wireDone      int // wire messages consumed this wave (coordinator-read)
 
-	queued int // events in future buckets + next (Pending)
-
 	touched uint64 // lookahead-touch sink; see runWave
 
-	// watching[d] is the set of nodes on this shard holding an open
-	// connection to d. Writes come only from this shard's nodes (their
-	// Watch/Unwatch), so no lock is needed; the coordinator unions the
-	// per-shard sets when d fails.
-	watching map[id.ID]map[id.ID]struct{}
+	// watching[d] lists, ascending, the nodes on this shard holding an open
+	// connection to the node at table index d. Writes come only from this
+	// shard's nodes (their Watch/Unwatch), so no lock is needed; the
+	// coordinator unions the per-shard lists when d fails.
+	watching [][]id.ID
 
 	stats shardStats
+}
+
+// crew runs the slices of a parallel wave on persistent worker goroutines:
+// shard 0 on the coordinator, shard i on worker i-1. A worker holds no
+// reference to its Sim between waves, so a dropped Sim is collected and its
+// cleanup stops the workers.
+type crew struct {
+	start []chan *shard
+	done  sync.WaitGroup
+}
+
+func newCrew(workers int) *crew {
+	c := &crew{start: make([]chan *shard, workers)}
+	for i := range c.start {
+		c.start[i] = make(chan *shard, 1)
+		go c.work(c.start[i])
+	}
+	return c
+}
+
+func (c *crew) work(start chan *shard) {
+	for sh := range start {
+		sh.runWave()
+		c.done.Done()
+	}
+}
+
+func (c *crew) stop() {
+	for _, ch := range c.start {
+		close(ch)
+	}
 }
 
 // sharded reports whether the wave/barrier engine is active.
@@ -140,6 +172,19 @@ func (s *Sim) Shards() int {
 	return len(s.shards)
 }
 
+// ShardOf returns the shard that delivers to nodeID: the index of the
+// partition whose worker runs the node's handlers. Harnesses use it to
+// stripe state their Delivery callbacks share, so concurrent shards never
+// write the same stripe. It is 0 on the single-shard engine and for unknown
+// nodes.
+func (s *Sim) ShardOf(nodeID id.ID) int {
+	ti, ok := s.nodeIndex(nodeID)
+	if !ok || !s.sharded() {
+		return 0
+	}
+	return int(ti) % len(s.shards)
+}
+
 // NewSharded returns a simulator whose event engine is partitioned into
 // shards parallel shards (see the package comment of this file). A shard
 // count of one (or less) returns the classic single-shard engine — the
@@ -149,91 +194,142 @@ func NewSharded(seed uint64, shards int) *Sim {
 	if shards <= 1 {
 		return New(seed)
 	}
-	s := New(seed)
+	s := newSim(seed)
 	s.shards = make([]shard, shards)
-	// On a single-P runtime goroutine fan-out cannot overlap anything and
-	// only adds scheduling latency per wave; the serial path is identical in
-	// outcome (shard slices touch disjoint state either way), so take it.
-	// Captured once: tests that want the concurrent path under -race raise
-	// GOMAXPROCS before construction.
+	// On a single-P runtime the workers cannot overlap anything and only add
+	// a handoff per wave; the serial path is identical in outcome (shard
+	// slices touch disjoint state either way), so take it. Captured once:
+	// tests that want the concurrent path under -race raise GOMAXPROCS
+	// before construction.
 	s.waveParallel = runtime.GOMAXPROCS(0) > 1
 	for i := range s.shards {
-		s.shards[i] = shard{
-			sim:      s,
-			id:       i,
-			future:   make(map[uint64][]sevent),
-			watching: make(map[id.ID]map[id.ID]struct{}),
-		}
+		s.shards[i].sim = s
+	}
+	if shards&(shards-1) == 0 {
+		s.shardMask = shards - 1
 	}
 	return s
 }
 
-// shardOf returns the shard owning the node at table index idx.
+// shardOf returns the shard owning the node at table index idx. It runs
+// once per routed event, so power-of-two shard counts take a mask instead
+// of a division.
 func (s *Sim) shardOf(idx int32) *shard {
+	if s.shardMask != 0 {
+		return &s.shards[int(idx)&s.shardMask]
+	}
 	return &s.shards[int(idx)%len(s.shards)]
 }
 
 // ---- enqueue paths -------------------------------------------------------
 
-// grabVec takes a recycled bucket vector — the largest one pooled. Wave
-// vectors grow to the broadcast's peak wave (millions of events at 1M
-// nodes); handing a small bucket vector to a big wave would regrow it
-// through doubling reallocs of hundreds of MB per broadcast. Picking the
-// max-capacity vector makes the two biggest arrays ping-pong between the
-// cur/next wave slots, so the steady state re-allocates nothing. The pool
-// stays a handful of entries, so the scan is noise.
-func (sh *shard) grabVec() []sevent {
-	if n := len(sh.pool); n > 0 {
-		best := 0
-		for i := 1; i < n; i++ {
-			if cap(sh.pool[i]) > cap(sh.pool[best]) {
-				best = i
-			}
+// emit appends a record to the shard's output log, tagged with the running
+// handler's (pseq, birth), and returns it for the caller to fill in. The
+// slot is reused without zeroing: callers assign every field of ev.
+func (sh *shard) emit(at uint64) *sevent {
+	n := len(sh.out)
+	if n < cap(sh.out) {
+		sh.out = sh.out[:n+1]
+	} else {
+		sh.out = append(sh.out, sevent{})
+	}
+	r := &sh.out[n]
+	r.at, r.pseq, r.birth, r.skip = at, sh.pseq, sh.birth, false
+	sh.birth++
+	return r
+}
+
+// bucketAt returns the pending-event vector of instant at, creating the
+// bucket when absent. s.future is sorted latest-first, so the earliest
+// instant — where coordinator sends at the current instant and the soonest
+// timers land — is found without a search.
+func (s *Sim) bucketAt(at uint64) *[]sevent {
+	f := s.future
+	n := len(f)
+	if n > 0 && f[n-1].at == at {
+		return &f[n-1].evs
+	}
+	lo, hi := 0, n // first index whose instant is <= at
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if f[mid].at > at {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		v := sh.pool[best]
-		sh.pool[best] = sh.pool[n-1]
-		sh.pool = sh.pool[:n-1]
-		return v[:0]
 	}
-	return make([]sevent, 0, 64)
+	if lo < n && f[lo].at == at {
+		return &f[lo].evs
+	}
+	var evs []sevent
+	if k := len(s.bpool); k > 0 {
+		evs = s.bpool[k-1]
+		s.bpool = s.bpool[:k-1]
+	}
+	s.future = append(s.future, bucket{})
+	copy(s.future[lo+1:], s.future[lo:])
+	s.future[lo] = bucket{at: at, evs: evs}
+	return &s.future[lo].evs
 }
 
-// putVec returns a vector's backing storage to the pool.
-func (sh *shard) putVec(v []sevent) {
-	if cap(v) > 0 {
-		sh.pool = append(sh.pool, v[:0])
-	}
+// toWave appends se to its destination shard's current wave.
+func (s *Sim) toWave(se *sevent) {
+	sh := s.shardOf(se.ev.to)
+	sh.cur = append(sh.cur, se)
 }
 
-// enqueueAt routes one sequenced event to its destination shard: the next
-// wave when it lands on the active instant, a future bucket otherwise.
-func (s *Sim) enqueueAt(at, seq uint64, ev *event) {
-	sh := s.shardOf(ev.to)
-	se := sevent{at: at, seq: seq, ev: *ev}
-	if s.instantActive && at == s.now {
-		sh.next = append(sh.next, se)
-		sh.queued++
+// route sends a merged output record to its destination: by pointer into
+// the next wave when it lands on the active instant, copied into a bucket
+// otherwise.
+func (s *Sim) route(r *sevent) {
+	s.queued++
+	if r.at == s.now {
+		sh := s.shardOf(r.ev.to)
+		sh.next = append(sh.next, r)
 		return
 	}
-	b, ok := sh.future[at]
-	if !ok {
-		b = sh.grabVec()
-		pushTime(&sh.times, at)
+	b := s.bucketAt(r.at)
+	*b = append(*b, *r)
+}
+
+// enqueueAt sequences one event from coordinator context: into the next
+// wave when it lands on the active instant, a bucket otherwise. It returns
+// the event's record with at and seq set and ev.to routed; the caller fills
+// in the rest of ev, so the message is copied exactly once.
+func (s *Sim) enqueueAt(at, seq uint64, to int32) *sevent {
+	s.queued++
+	var se *sevent
+	if s.instantActive && at == s.now {
+		// The wave holds a pointer into imm; a later append may move imm's
+		// backing array, but the pointer keeps the old one alive and nothing
+		// but that pointer touches the record again. imm is reset only once
+		// the instant has quiesced.
+		s.imm = append(s.imm, sevent{})
+		se = &s.imm[len(s.imm)-1]
+		if s.serial {
+			s.fifo = append(s.fifo, se)
+		} else {
+			sh := s.shardOf(to)
+			sh.next = append(sh.next, se)
+		}
+	} else {
+		b := s.bucketAt(at)
+		*b = append(*b, sevent{})
+		se = &(*b)[len(*b)-1]
 	}
-	sh.future[at] = append(b, se)
-	sh.queued++
+	se.at, se.seq, se.ev.to = at, seq, to
+	return se
 }
 
-// enqueuePeriodic registers a periodic event on its shard's heap.
+// enqueuePeriodic registers a periodic event on the periodic heap.
 func (s *Sim) enqueuePeriodic(at, seq uint64, ev *event) {
-	sh := s.shardOf(ev.to)
-	pushSevent(&sh.pheap, sevent{at: at, seq: seq, ev: *ev})
+	pushSevent(&s.periodic, sevent{at: at, seq: seq, ev: *ev})
 }
 
-// sendSharded is the wave-engine send path. During a parallel wave the event
-// is recorded in the sending shard's output log for canonical sequencing at
-// the barrier; from coordinator context (harness Inject, OnCycle and
-// OnPeerDown handlers, hooks) it is sequenced immediately, exactly like the
+// sendSharded is the wave-engine send path. During a wave the event is
+// recorded in the sending shard's output log for canonical sequencing at the
+// barrier; from coordinator context (harness Inject, OnCycle and OnPeerDown
+// handlers, hooks) it is sequenced immediately, exactly like the
 // single-shard engine. sh is the sending node's shard (nil for harness
 // sends).
 func (s *Sim) sendSharded(sh *shard, from, to id.ID, m *msg.Message) error {
@@ -250,9 +346,9 @@ func (s *Sim) sendSharded(sh *shard, from, to id.ID, m *msg.Message) error {
 		// Overflow is resolved at the barrier (the in-flight total is not
 		// known mid-wave); the tentative counters are rolled back there if
 		// the merge sheds this event.
-		sh.out = append(sh.out, outRec{pseq: sh.pseq, birth: sh.birth,
-			ev: event{from: from, to: ti, kind: kindMessage, m: *m}})
-		sh.birth++
+		r := sh.emit(0) // the merge stamps the delivery instant
+		r.ev.from, r.ev.to, r.ev.kind, r.ev.exempt, r.ev.interval = from, ti, kindMessage, false, 0
+		r.ev.m = *m
 		sh.stats.sent++
 		sh.stats.bytesSent += uint64(m.EncodedSize())
 		return nil
@@ -269,7 +365,8 @@ func (s *Sim) sendSharded(sh *shard, from, to id.ID, m *msg.Message) error {
 		delay = s.Latency(from, to, s.rand)
 	}
 	s.seq++
-	s.enqueueAt(s.now+delay, s.seq, &event{from: from, to: ti, kind: kindMessage, m: *m})
+	ev := &s.enqueueAt(s.now+delay, s.seq, ti).ev
+	ev.from, ev.kind, ev.m = from, kindMessage, *m
 	s.stats.Sent++
 	s.stats.BytesSent += uint64(m.EncodedSize())
 	return nil
@@ -288,7 +385,8 @@ func (s *Sim) redeliverSharded(from, to id.ID, m *msg.Message, delay uint64) err
 	}
 	s.wire++
 	s.seq++
-	s.enqueueAt(s.now+delay, s.seq, &event{from: from, to: ti, kind: kindMessage, exempt: true, m: *m})
+	ev := &s.enqueueAt(s.now+delay, s.seq, ti).ev
+	ev.from, ev.kind, ev.exempt, ev.m = from, kindMessage, true, *m
 	s.stats.Redelivered++
 	return nil
 }
@@ -299,18 +397,19 @@ func (s *Sim) scheduleSharded(sh *shard, self id.ID, idx int32, oneshot bool, de
 	if oneshot {
 		kind, interval = kindTimer, 0
 	}
-	ev := event{from: self, to: idx, kind: kind, interval: interval, m: *m}
 	if sh != nil && s.inWave {
-		sh.out = append(sh.out, outRec{pseq: sh.pseq, birth: sh.birth, at: s.now + delay, ev: ev})
-		sh.birth++
+		r := sh.emit(s.now + delay)
+		r.ev.from, r.ev.to, r.ev.kind, r.ev.exempt, r.ev.interval = self, idx, kind, false, interval
+		r.ev.m = *m
 		return
 	}
 	s.seq++
 	if oneshot {
-		s.enqueueAt(s.now+delay, s.seq, &ev)
-	} else {
-		s.enqueuePeriodic(s.now+delay, s.seq, &ev)
+		ev := &s.enqueueAt(s.now+delay, s.seq, idx).ev
+		ev.from, ev.kind, ev.m = self, kindTimer, *m
+		return
 	}
+	s.enqueuePeriodic(s.now+delay, s.seq, &event{from: self, to: idx, kind: kind, interval: interval, m: *m})
 }
 
 // queueLimit resolves MaxQueue.
@@ -323,55 +422,30 @@ func (s *Sim) queueLimit() int {
 
 // ---- the barrier loop ----------------------------------------------------
 
-// minOnceTime returns the earliest instant holding bucketed traffic.
-func (s *Sim) minOnceTime() (uint64, bool) {
-	var best uint64
-	found := false
-	for i := range s.shards {
-		sh := &s.shards[i]
-		if len(sh.times) > 0 && (!found || sh.times[0] < best) {
-			best, found = sh.times[0], true
-		}
-	}
-	return best, found
-}
-
-// minPeriodicTime returns the earliest pending periodic fire.
-func (s *Sim) minPeriodicTime() (uint64, bool) {
-	var best uint64
-	found := false
-	for i := range s.shards {
-		sh := &s.shards[i]
-		if len(sh.pheap) > 0 && (!found || sh.pheap[0].at < best) {
-			best, found = sh.pheap[0].at, true
-		}
-	}
-	return best, found
-}
-
 // drainSharded is Drain on the wave engine: periodic schedule frozen.
 func (s *Sim) drainSharded() int {
 	delivered := 0
-	s.flushDowns()
-	for {
-		t, ok := s.minOnceTime()
-		if !ok {
-			return delivered
-		}
-		delivered += s.runInstant(t, false)
-		s.flushDowns()
+	s.flushDownsSharded()
+	for n := len(s.future); n > 0; n = len(s.future) {
+		delivered += s.runInstant(s.future[n-1].at, false)
+		s.flushDownsSharded()
 	}
+	return delivered
 }
 
 // runForSharded is RunFor on the wave engine: periodic rounds fire too.
 func (s *Sim) runForSharded(d uint64) int {
 	target := s.now + d
 	delivered := 0
-	s.flushDowns()
+	s.flushDownsSharded()
 	for {
-		t, ok := s.minOnceTime()
-		if pt, pok := s.minPeriodicTime(); pok && (!ok || pt < t) {
-			t, ok = pt, true
+		var t uint64
+		ok := false
+		if n := len(s.future); n > 0 {
+			t, ok = s.future[n-1].at, true
+		}
+		if len(s.periodic) > 0 && (!ok || s.periodic[0].at < t) {
+			t, ok = s.periodic[0].at, true
 		}
 		if !ok || t > target {
 			if target > s.now {
@@ -380,7 +454,7 @@ func (s *Sim) runForSharded(d uint64) int {
 			return delivered
 		}
 		delivered += s.runInstant(t, true)
-		s.flushDowns()
+		s.flushDownsSharded()
 	}
 }
 
@@ -391,17 +465,9 @@ func (s *Sim) runInstant(t uint64, periodic bool) int {
 	if t > s.now {
 		s.now = t
 	}
-	t = s.now
 	s.instantActive = true
+	s.formWave(s.now, periodic)
 	delivered := 0
-
-	// Wave formation: the instant's bucket on each shard, with due periodic
-	// rounds spliced in by (at, seq).
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.formWave(t, periodic)
-	}
-
 	for {
 		total := 0
 		for i := range s.shards {
@@ -410,104 +476,121 @@ func (s *Sim) runInstant(t uint64, periodic bool) int {
 		if total == 0 {
 			break
 		}
+		if total < parallelMinWave && s.Tap == nil && s.Intercept == nil {
+			delivered += s.runSerial()
+			continue
+		}
 		if s.Tap != nil || s.Intercept != nil {
 			s.prePass()
 		}
 		s.inWave = true
-		if s.waveParallel && total >= parallelMinWave {
-			s.waveWG.Add(len(s.shards))
-			for i := range s.shards {
-				go s.shards[i].runWave(&s.waveWG)
-			}
-			s.waveWG.Wait()
-		} else {
-			for i := range s.shards {
-				s.shards[i].runWave(nil)
-			}
+		for i := range s.shards {
+			sh := &s.shards[i]
+			sh.out, sh.prev = sh.prev[:0], sh.out
 		}
+		s.runWaves(total)
 		s.inWave = false
 		for i := range s.shards {
 			sh := &s.shards[i]
 			delivered += sh.waveDelivered
 			s.wire -= sh.wireDone
+			sh.cur = sh.cur[:0]
+			sh.ppos = 0
 		}
 		s.mergeOutputs()
 		// The next wave at this instant is whatever delay-0 output landed.
 		for i := range s.shards {
 			sh := &s.shards[i]
-			sh.putVec(sh.cur)
-			sh.cur, sh.next = sh.next, sh.grabVec()
-			sh.queued -= len(sh.cur)
-			sh.ppos = 0
+			sh.cur, sh.next = sh.next, sh.cur
+			s.queued -= len(sh.cur)
 		}
 	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.putVec(sh.cur)
-		sh.cur = nil
-		sh.putVec(sh.next)
-		sh.next = nil
+	if s.held != nil {
+		s.bpool = append(s.bpool, s.held[:0])
+		s.held = nil
 	}
+	s.imm = s.imm[:0]
 	s.instantActive = false
 	return delivered
 }
 
-// formWave assembles the shard's slice of the instant-t wave: the t bucket
-// plus (in RunFor) periodic rounds due at or before t, ordered by (at, seq).
-func (sh *shard) formWave(t uint64, periodic bool) {
-	var bucket []sevent
-	if b, ok := sh.future[t]; ok {
-		delete(sh.future, t)
-		popTimeValue(&sh.times, t)
-		bucket = b
-		sh.queued -= len(b)
+// formWave assembles the instant-t wave: the t bucket plus (in RunFor)
+// periodic rounds due at or before t, ordered by (at, seq) and split across
+// the shards' wave vectors. The bucket stays held — the wave points into it
+// — until the instant quiesces.
+func (s *Sim) formWave(t uint64, periodic bool) {
+	var b []sevent
+	if n := len(s.future); n > 0 && s.future[n-1].at == t {
+		b = s.future[n-1].evs
+		s.future[n-1] = bucket{}
+		s.future = s.future[:n-1]
+		s.queued -= len(b)
+		s.held = b
 	}
-	if !periodic || len(sh.pheap) == 0 || sh.pheap[0].at > t {
+	if !periodic || len(s.periodic) == 0 || s.periodic[0].at > t {
 		// Common case: the bucket is the wave.
-		if bucket != nil {
-			sh.putVec(sh.cur)
-			sh.cur = bucket
-		} else {
-			sh.cur = sh.grabVec()
+		for i := range b {
+			s.toWave(&b[i])
 		}
-		sh.next = sh.grabVec()
-		sh.ppos = 0
 		return
 	}
 	// Pull due periodic rounds in (at, seq) order; rounds whose deadline
 	// already passed (Drain froze the schedule while time advanced) come
 	// first, then rounds at exactly t interleave with the bucket by seq.
-	sh.due = sh.due[:0]
-	for len(sh.pheap) > 0 && sh.pheap[0].at <= t {
-		sh.due = append(sh.due, popSevent(&sh.pheap))
+	s.due = s.due[:0]
+	for len(s.periodic) > 0 && s.periodic[0].at <= t {
+		s.due = append(s.due, popSevent(&s.periodic))
 	}
-	cur := sh.grabVec()
+	due := s.due
 	di, bi := 0, 0
-	for di < len(sh.due) && sh.due[di].at < t {
-		cur = append(cur, sh.due[di])
+	for di < len(due) && due[di].at < t {
+		s.toWave(&due[di])
 		di++
 	}
-	for di < len(sh.due) || bi < len(bucket) {
-		if bi >= len(bucket) || (di < len(sh.due) && sh.due[di].seq < bucket[bi].seq) {
-			cur = append(cur, sh.due[di])
+	for di < len(due) || bi < len(b) {
+		if bi >= len(b) || (di < len(due) && due[di].seq < b[bi].seq) {
+			s.toWave(&due[di])
 			di++
 		} else {
-			cur = append(cur, bucket[bi])
+			s.toWave(&b[bi])
 			bi++
 		}
 	}
-	sh.putVec(bucket)
-	sh.putVec(sh.cur)
-	sh.cur = cur
-	sh.next = sh.grabVec()
-	sh.ppos = 0
+}
+
+// runWaves delivers the current wave: on the shard workers when it is large
+// enough to pay for the handoff and the runtime has more than one P, on the
+// coordinator otherwise.
+func (s *Sim) runWaves(total int) {
+	if !s.waveParallel || total < parallelMinWave {
+		for i := range s.shards {
+			s.shards[i].runWave()
+		}
+		return
+	}
+	if s.crew == nil {
+		s.crew = newCrew(len(s.shards) - 1)
+		runtime.AddCleanup(s, (*crew).stop, s.crew)
+	}
+	c := s.crew
+	for i := 1; i < len(s.shards); i++ {
+		sh := &s.shards[i]
+		if len(sh.cur) == 0 {
+			sh.waveDelivered, sh.wireDone = 0, 0
+			continue
+		}
+		c.done.Add(1)
+		c.start[i-1] <- sh
+	}
+	s.shards[0].runWave()
+	c.done.Wait()
 }
 
 // prePass walks the wave across all shards in global seq order, running the
 // Intercept hook and the Tap exactly as the single-shard engine would:
 // serially, in canonical delivery order, on the coordinator goroutine. Hook
 // verdicts are recorded on the events (skip / replaced message) and applied
-// during the parallel phase.
+// during delivery.
 func (s *Sim) prePass() {
 	for {
 		var best *shard
@@ -520,7 +603,7 @@ func (s *Sim) prePass() {
 		if best == nil {
 			return
 		}
-		se := &best.cur[best.ppos]
+		se := best.cur[best.ppos]
 		best.ppos++
 		ev := &se.ev
 		if ev.kind != kindMessage {
@@ -528,7 +611,7 @@ func (s *Sim) prePass() {
 		}
 		dst := &s.nodes[ev.to]
 		if !dst.alive || !s.reachable(ev.from, dst.id) {
-			continue // dropped in the parallel phase; hooks never see it
+			continue // dropped during delivery; hooks never see it
 		}
 		if s.Intercept != nil && !ev.exempt {
 			hooked := ev.m
@@ -550,15 +633,13 @@ func (s *Sim) prePass() {
 }
 
 // runWave delivers the shard's slice of the current wave. It runs on a shard
-// goroutine for large waves and on the coordinator for small ones; either
-// way it touches only this shard's nodes, buckets, output log and counters.
-func (sh *shard) runWave(wg *sync.WaitGroup) {
-	if wg != nil {
-		defer wg.Done()
-	}
+// worker for large waves and on the coordinator for small ones; either way
+// it touches only this shard's nodes, output log and counters.
+func (sh *shard) runWave() {
 	s := sh.sim
+	cur := sh.cur
 	count, wireDone := 0, 0
-	for i := range sh.cur {
+	for i, se := range cur {
 		// Lookahead touch: the wave vector already knows the next few
 		// destinations, so start their node records' cache misses now and
 		// let out-of-order execution overlap them with this delivery. The
@@ -566,62 +647,129 @@ func (sh *shard) runWave(wg *sync.WaitGroup) {
 		// is only known after the current pop. At 1M nodes every delivery
 		// touches DRAM-cold node state, and this memory-level parallelism
 		// is worth more than the arithmetic around it.
-		if i+waveLookahead < len(sh.cur) {
-			ahead := &s.nodes[sh.cur[i+waveLookahead].ev.to]
-			if ahead.alive {
+		if i+waveLookahead < len(cur) {
+			if s.nodes[cur[i+waveLookahead].ev.to].alive {
 				sh.touched++ // keeps the load live past dead-code elimination
 			}
 		}
-		se := &sh.cur[i]
-		ev := &se.ev
-		if ev.kind == kindMessage {
+		if se.ev.kind == kindMessage {
 			wireDone++
 		}
-		dst := &s.nodes[ev.to]
-		if !dst.alive {
-			if ev.kind == kindMessage {
-				sh.stats.dropped++
-			} else {
-				dst.parked = append(dst.parked, *ev)
-			}
-			continue
-		}
-		sh.pseq, sh.birth = se.seq, 1
-		if ev.kind == kindPeriodic {
-			// Re-arm before delivering (birth 0: ahead of the handler's own
-			// output), clamping missed deadlines like time.Ticker.
-			next := se.at + ev.interval
-			if next <= s.now {
-				next = s.now + ev.interval
-			}
-			sh.out = append(sh.out, outRec{pseq: se.seq, birth: 0, at: next, ev: *ev})
-		}
-		if ev.kind == kindMessage {
-			if !s.reachable(ev.from, dst.id) {
-				sh.stats.dropped++
-				continue
-			}
-			if se.skip {
-				continue // suppressed by the Intercept pre-pass
-			}
-		}
-		dst.proc.Deliver(ev.from, ev.m)
-		count++
-		if ev.kind == kindMessage {
-			sh.stats.delivered++
-		}
+		count += sh.deliver(se)
 	}
 	sh.waveDelivered = count
 	sh.wireDone = wireDone
 }
 
+// deliver hands one event to its destination, a node of this shard, and
+// returns 1 when a process received it, 0 when it was dropped or parked.
+// Inside a wave the periodic re-arm is recorded in the output log like any
+// handler output; from runSerial it is sequenced immediately.
+func (sh *shard) deliver(se *sevent) int {
+	s := sh.sim
+	ev := &se.ev
+	dst := &s.nodes[ev.to]
+	if !dst.alive {
+		if ev.kind == kindMessage {
+			sh.stats.dropped++
+		} else {
+			dst.parked = append(dst.parked, *ev)
+		}
+		return 0
+	}
+	sh.pseq, sh.birth = se.seq, 0
+	if ev.kind == kindPeriodic {
+		// Re-arm before delivering (birth 0: ahead of the handler's own
+		// output), clamping missed deadlines like time.Ticker.
+		next := se.at + ev.interval
+		if next <= s.now {
+			next = s.now + ev.interval
+		}
+		if s.inWave {
+			sh.emit(next).ev = *ev
+		} else {
+			s.seq++
+			s.enqueuePeriodic(next, s.seq, ev)
+		}
+	}
+	if ev.kind == kindMessage {
+		if !s.reachable(ev.from, dst.id) {
+			sh.stats.dropped++
+			return 0
+		}
+		if se.skip {
+			return 0 // suppressed by the Intercept pre-pass
+		}
+	}
+	// The record outlives the call: handler output goes to sh.out (or, from
+	// runSerial, to imm), never to the log, bucket or scratch se lives in.
+	if rd, ok := dst.proc.(peer.RefDeliverer); ok {
+		rd.DeliverRef(ev.from, &ev.m)
+	} else {
+		dst.proc.Deliver(ev.from, ev.m)
+	}
+	if ev.kind == kindMessage {
+		sh.stats.delivered++
+	}
+	return 1
+}
+
+// runSerial delivers a small wave, and whatever it triggers at this
+// instant, the way the heap engine does: one event at a time in global
+// (at, seq) order on the coordinator, sequencing each handler's output as it
+// is made. Without hooks that is exactly the order the wave loop produces
+// (see the package comment), so this is purely a cost decision: a
+// cycle-driven run is millions of instants of a few events each, and for
+// them the per-wave bookkeeping — output logs, merge, vector swaps — costs
+// more than the deliveries. The backlog goes back to the shards' wave
+// vectors, for the wave loop, once it reaches parallelMinWave; the vectors
+// are left empty when the instant quiesces.
+func (s *Sim) runSerial() int {
+	fifo := s.fifo[:0]
+	for {
+		var best *shard
+		for i := range s.shards {
+			sh := &s.shards[i]
+			if sh.ppos < len(sh.cur) && (best == nil || seventLess(sh.cur[sh.ppos], best.cur[best.ppos])) {
+				best = sh
+			}
+		}
+		if best == nil {
+			break
+		}
+		fifo = append(fifo, best.cur[best.ppos])
+		best.ppos++
+	}
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.cur, sh.ppos = sh.cur[:0], 0
+	}
+	formed := len(fifo)
+	s.fifo, s.serial = fifo, true
+	delivered, i := 0, 0
+	for ; i < len(s.fifo) && len(s.fifo)-i < parallelMinWave; i++ {
+		se := s.fifo[i]
+		if se.ev.kind == kindMessage {
+			s.wire--
+		}
+		delivered += s.shardOf(se.ev.to).deliver(se)
+	}
+	s.serial = false
+	for _, se := range s.fifo[i:] {
+		s.toWave(se)
+	}
+	s.queued -= len(s.fifo) - formed
+	s.fifo = s.fifo[:0]
+	return delivered
+}
+
 // mergeOutputs sequences every shard's wave output canonically: an S-way
 // merge by (parent seq, birth index) — each shard's log is already sorted —
 // assigning global sequence numbers, drawing latency delays from the root
-// stream in merge order, and routing events to their destination shards.
-// This order is exactly the order in which a single-shard run would have
-// made the same schedule calls, which is what keeps traces byte-identical
-// across shard counts.
+// stream in merge order, and routing events to their destinations. This
+// order is exactly the order in which a single-shard run would have made the
+// same schedule calls, which is what keeps traces byte-identical across
+// shard counts.
 func (s *Sim) mergeOutputs() {
 	for i := range s.shards {
 		s.shards[i].opos = 0
@@ -644,7 +792,7 @@ func (s *Sim) mergeOutputs() {
 			}
 		}
 		if src == nil {
-			break
+			return
 		}
 		r := &src.out[src.opos]
 		src.opos++
@@ -663,43 +811,49 @@ func (s *Sim) mergeOutputs() {
 				continue
 			}
 			s.wire++
-			s.seq++
-			s.enqueueAt(s.now+delay, s.seq, &r.ev)
-		case kindTimer:
-			s.seq++
-			s.enqueueAt(r.at, s.seq, &r.ev)
+			r.at = s.now + delay
 		case kindPeriodic:
 			s.seq++
 			s.enqueuePeriodic(r.at, s.seq, &r.ev)
+			continue
 		}
-	}
-	for i := range s.shards {
-		s.shards[i].out = s.shards[i].out[:0]
+		s.seq++
+		r.seq = s.seq
+		s.route(r)
 	}
 }
 
 // ---- sharded liveness bookkeeping ---------------------------------------
 
 // flushDownsSharded is flushDowns over the per-shard watch tables: for each
-// pending victim the watcher sets are unioned across shards, sorted, and
+// pending victim the watcher lists are unioned across shards, sorted, and
 // notified exactly like the single-shard engine.
 func (s *Sim) flushDownsSharded() {
 	for len(s.pendingDowns) > 0 {
 		victim := s.pendingDowns[0]
 		s.pendingDowns = s.pendingDowns[1:]
-		watcherIDs := s.gatherWatchers(victim, nil)
+		vi, ok := s.nodeIndex(victim)
+		if !ok {
+			continue
+		}
+		// Handlers below may Watch and Unwatch, which edits the tables: work
+		// on a copy.
+		watcherIDs := s.watchBuf[:0]
+		for i := range s.shards {
+			if ws := s.shards[i].watching; int(vi) < len(ws) {
+				watcherIDs = append(watcherIDs, ws[vi]...)
+			}
+		}
+		s.watchBuf = watcherIDs
 		if len(watcherIDs) == 0 {
 			continue
 		}
 		sortIDs(watcherIDs)
-		vDead := true
-		if vi, ok := s.nodeIndex(victim); ok && s.nodes[vi].alive {
-			vDead = false
-		}
+		vDead := !s.nodes[vi].alive
 		for _, w := range watcherIDs {
-			wi, ok := s.nodeIndex(w)
-			if !ok || !s.nodes[wi].alive {
-				s.dropWatch(w, victim) // dead watchers never hear anything again
+			wi, _ := s.nodeIndex(w)
+			if !s.nodes[wi].alive {
+				s.shardOf(wi).drop(w, vi) // dead watchers never hear anything again
 				continue
 			}
 			// A crash resets every connection; a partition resets only the
@@ -707,7 +861,7 @@ func (s *Sim) flushDownsSharded() {
 			if !vDead && s.reachable(w, victim) {
 				continue
 			}
-			s.dropWatch(w, victim)
+			s.shardOf(wi).drop(w, vi)
 			if obs, ok := s.nodes[wi].proc.(peer.FailureObserver); ok {
 				obs.OnPeerDown(victim)
 			}
@@ -717,83 +871,93 @@ func (s *Sim) flushDownsSharded() {
 
 // partitionBreakSharded queues reset notifications for watched links that
 // cross a freshly installed partition, deterministically (victims sorted,
-// deduplicated) regardless of map iteration order.
+// deduplicated) regardless of table layout.
 func (s *Sim) partitionBreakSharded() {
 	var broken []id.ID
 	for i := range s.shards {
-		for watchedNode, ws := range s.shards[i].watching {
-			for watcher := range ws {
-				if !s.reachable(watcher, watchedNode) {
-					broken = append(broken, watchedNode)
+		for d, ws := range s.shards[i].watching {
+			for _, w := range ws {
+				if !s.reachable(w, s.nodes[d].id) {
+					broken = append(broken, s.nodes[d].id)
 					break
 				}
 			}
 		}
 	}
-	sortIDs(broken)
-	for i, v := range broken {
-		if i > 0 && broken[i-1] == v {
-			continue
-		}
-		s.pendingDowns = append(s.pendingDowns, v)
-	}
+	slices.Sort(broken)
+	s.pendingDowns = append(s.pendingDowns, slices.Compact(broken)...)
 }
 
-// watch registers watcher (a node on shard sh) as watching dst.
+// watch registers watcher (a node on this shard) as watching dst. A node the
+// simulator does not host can never fail, so watching it is a no-op.
 func (sh *shard) watch(watcher, dst id.ID) {
-	ws := sh.watching[dst]
-	if ws == nil {
-		ws = make(map[id.ID]struct{}, 4)
-		sh.watching[dst] = ws
+	s := sh.sim
+	di, ok := s.nodeIndex(dst)
+	if !ok {
+		return
 	}
-	ws[watcher] = struct{}{}
-}
-
-// unwatch cancels a watch registration.
-func (sh *shard) unwatch(watcher, dst id.ID) {
-	if ws := sh.watching[dst]; ws != nil {
-		delete(ws, watcher)
-		if len(ws) == 0 {
-			delete(sh.watching, dst)
+	if n := len(s.nodes); int(di) >= len(sh.watching) {
+		// Grow to the whole population at once. Only this shard's goroutine
+		// writes the table, and the node table is fixed during a wave.
+		for len(sh.watching) < n {
+			sh.watching = append(sh.watching, nil)
 		}
 	}
+	ws := sh.watching[di]
+	i := searchID(ws, watcher)
+	if i < len(ws) && ws[i] == watcher {
+		return
+	}
+	ws = append(ws, 0)
+	copy(ws[i+1:], ws[i:])
+	ws[i] = watcher
+	sh.watching[di] = ws
+}
+
+// unwatch cancels watcher's registration on dst.
+func (sh *shard) unwatch(watcher, dst id.ID) {
+	if di, ok := sh.sim.nodeIndex(dst); ok {
+		sh.drop(watcher, di)
+	}
+}
+
+// drop cancels watcher's registration on the node at table index di.
+func (sh *shard) drop(watcher id.ID, di int32) {
+	if int(di) >= len(sh.watching) {
+		return
+	}
+	ws := sh.watching[di]
+	i := searchID(ws, watcher)
+	if i == len(ws) || ws[i] != watcher {
+		return
+	}
+	copy(ws[i:], ws[i+1:])
+	sh.watching[di] = ws[:len(ws)-1]
 }
 
 // watchedSharded reports whether any node watches victim.
-func (s *Sim) watchedSharded(victim id.ID) bool {
+func (s *Sim) watchedSharded(vi int32) bool {
 	for i := range s.shards {
-		if len(s.shards[i].watching[victim]) > 0 {
+		if ws := s.shards[i].watching; int(vi) < len(ws) && len(ws[vi]) > 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// gatherWatchers appends every watcher of victim to buf (unsorted).
-func (s *Sim) gatherWatchers(victim id.ID, buf []id.ID) []id.ID {
-	for i := range s.shards {
-		for w := range s.shards[i].watching[victim] {
-			buf = append(buf, w)
+// searchID returns the index of the first element of the ascending list xs
+// that is >= x.
+func searchID(xs []id.ID, x id.ID) int {
+	lo, hi := 0, len(xs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if xs[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return buf
-}
-
-// dropWatch removes watcher's registration on victim from whichever shard
-// holds it (the watcher's own shard).
-func (s *Sim) dropWatch(watcher, victim id.ID) {
-	if wi, ok := s.nodeIndex(watcher); ok {
-		s.shardOf(wi).unwatch(watcher, victim)
-	}
-}
-
-// pendingSharded counts queued once events across shards.
-func (s *Sim) pendingSharded() int {
-	total := 0
-	for i := range s.shards {
-		total += s.shards[i].queued
-	}
-	return total
+	return lo
 }
 
 // statsSharded merges the per-shard counter slices into the global Stats.
@@ -810,64 +974,7 @@ func (s *Sim) statsSharded() Stats {
 	return out
 }
 
-// ---- small heaps ---------------------------------------------------------
-
-// pushTime inserts t into the binary min-heap h. Each instant is pushed at
-// most once (bucket creation is guarded by the future map).
-func pushTime(h *[]uint64, t uint64) {
-	*h = append(*h, t)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if s[i] >= s[p] {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-}
-
-// popTimeValue removes t from the heap; t is always the minimum (instants
-// are consumed in time order).
-func popTimeValue(h *[]uint64, t uint64) {
-	s := *h
-	if len(s) == 0 || s[0] != t {
-		// Defensive: scan (cannot happen under the consume-in-order
-		// discipline, but a silent mis-pop would corrupt time ordering).
-		for i := range s {
-			if s[i] == t {
-				s[i] = s[len(s)-1]
-				*h = s[:len(s)-1]
-				siftTime(*h, i)
-				return
-			}
-		}
-		return
-	}
-	last := len(s) - 1
-	s[0] = s[last]
-	*h = s[:last]
-	siftTime(*h, 0)
-}
-
-func siftTime(s []uint64, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < len(s) && s[l] < s[least] {
-			least = l
-		}
-		if r < len(s) && s[r] < s[least] {
-			least = r
-		}
-		if least == i {
-			return
-		}
-		s[i], s[least] = s[least], s[i]
-		i = least
-	}
-}
+// ---- the periodic heap ---------------------------------------------------
 
 // pushSevent inserts se into the (at, seq) min-heap h.
 func pushSevent(h *[]sevent, se sevent) {

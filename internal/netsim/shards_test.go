@@ -13,10 +13,12 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"hyparview/internal/id"
 	"hyparview/internal/msg"
 	"hyparview/internal/peer"
+	"hyparview/internal/rng"
 )
 
 // ringTrace runs a TTL ring on the given engine and returns the Tap trace.
@@ -154,5 +156,113 @@ func TestShardedParallelWavesUnderChurn(t *testing.T) {
 	}
 	if st := s.Stats(); st.Delivered == 0 || st.FaultDropped == 0 {
 		t.Errorf("degenerate churn run: %+v", st)
+	}
+}
+
+// fanProc forwards every delivery to its two successors until the TTL dies
+// and arms a timer on every fourth round, so waves grow past
+// parallelMinWave and shrink below it again. It logs what it receives: the
+// comparison below needs no Tap, which would keep every wave off the serial
+// path.
+type fanProc struct {
+	env  peer.Env
+	n    int
+	self int
+	log  []string
+}
+
+func (p *fanProc) Deliver(from id.ID, m msg.Message) {
+	p.log = append(p.log, fmt.Sprintf("%d:%d:%d:%d@%d", from, m.Type, m.Round, m.TTL, p.env.Now()))
+	if m.Type != msg.Gossip || m.TTL == 0 {
+		return
+	}
+	m.TTL--
+	for k := 1; k <= 2; k++ {
+		_ = p.env.Send(id.ID((p.self+k*k)%p.n+1), m)
+	}
+	if s, ok := p.env.(peer.Scheduler); ok && m.Round%4 == 0 {
+		s.After(uint64(m.TTL%2), msg.Message{Type: msg.Tick, Round: m.Round})
+	}
+}
+
+func (p *fanProc) OnCycle() {}
+
+// TestHooklessRunMatchesHeapEngine pins the serial path of the wave engine
+// (runSerial, taken by small waves when no hook is installed) together with
+// its hand-offs to and from the wave loop: per-node delivery logs and every
+// counter equal the heap engine's at every shard count, with and without
+// latency, with parallel waves enabled.
+func TestHooklessRunMatchesHeapEngine(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+
+	run := func(shards int, latency bool) (string, Stats) {
+		const n = 300
+		s := NewSharded(5, shards)
+		if latency {
+			s.Latency = func(from, to id.ID, r *rng.Rand) uint64 { return r.Uint64n(3) }
+		}
+		procs := make([]*fanProc, n)
+		for i := 0; i < n; i++ {
+			s.Add(id.ID(i+1), func(env peer.Env) peer.Process {
+				procs[i] = &fanProc{env: env, n: n, self: i}
+				return procs[i]
+			})
+		}
+		for round := 0; round < 12; round++ {
+			src := id.ID(round*37%n + 1)
+			_ = s.Inject(src, src, msg.Message{Type: msg.Gossip, Round: uint64(round), TTL: uint8(4 + round%5)})
+			if round%3 == 2 {
+				s.Fail(id.ID(round + 1))
+			}
+			s.Drain()
+			if p := s.Pending(); p != 0 {
+				t.Fatalf("shards=%d: Pending = %d after Drain, want 0", shards, p)
+			}
+		}
+		var b strings.Builder
+		for i, p := range procs {
+			fmt.Fprintf(&b, "%d %s\n", i+1, strings.Join(p.log, " "))
+		}
+		return b.String(), s.Stats()
+	}
+	for _, latency := range []bool{false, true} {
+		ref, refStats := run(1, latency)
+		for _, shards := range []int{2, 4, 8} {
+			got, gotStats := run(shards, latency)
+			if got != ref {
+				t.Errorf("latency=%v shards=%d: delivery logs diverged from the heap engine", latency, shards)
+			}
+			if gotStats != refStats {
+				t.Errorf("latency=%v shards=%d: stats diverged: %+v vs %+v", latency, shards, gotStats, refStats)
+			}
+		}
+	}
+}
+
+// TestShardWorkersStopWithSim pins the worker lifecycle: a Sim whose large
+// waves started persistent shard workers stops them once it is garbage, so
+// a process building many clusters does not accumulate goroutines.
+func TestShardWorkersStopWithSim(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+
+	base := runtime.NumGoroutine()
+	for k := 0; k < 8; k++ {
+		s := buildRingSharded(256, 4)
+		for i := 0; i < 256; i++ { // one wave of 256 events: over parallelMinWave
+			_ = s.Inject(id.ID(i+1), id.ID((i+1)%256+1), msg.Message{Type: msg.Gossip, Round: uint64(i), TTL: 2})
+		}
+		s.Drain()
+		if s.crew == nil {
+			t.Fatal("a 256-event wave on 4 Ps did not start the shard workers")
+		}
+	}
+	for try := 0; try < 100 && runtime.NumGoroutine() > base; try++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines outlive their Sims (%d before)", n, base)
 	}
 }

@@ -131,6 +131,17 @@ type FailureObserver interface {
 	OnPeerDown(peerID id.ID)
 }
 
+// RefDeliverer is an optional Process extension for the simulator's delivery
+// hot path: Deliver with the message passed by reference. Semantics are
+// identical to Process.Deliver, except that *m is frozen and valid only for
+// the duration of the call: the callee copies what it keeps and never
+// mutates or retains the pointer. A flood node discards most arrivals as
+// duplicates after reading one field, so skipping the by-value struct copy
+// at the call boundary matters there.
+type RefDeliverer interface {
+	DeliverRef(from id.ID, m *msg.Message)
+}
+
 // RefSender is an optional Env extension for fan-out hot paths: Send with
 // the message passed by reference. Semantics are identical to Env.Send —
 // the callee copies what it keeps and never retains the pointer — but a

@@ -61,26 +61,36 @@ func TestBroadcastSteadyStateZeroAllocPlumtree(t *testing.T) {
 }
 
 // TestShardedBroadcastSteadyStateZeroAlloc extends the zero-alloc pin to the
-// sharded wave/barrier engine: once the per-shard bucket vectors, output logs
-// and wave heaps are warm, a full-cluster broadcast through the 4-shard
-// barrier loop — wave formation, delivery, canonical merge — must allocate
-// nothing, exactly like the single-shard heap engine it replaces.
+// wave/barrier engine: once its wave vectors, output logs and buckets are
+// warm, a full-cluster broadcast — wave formation, delivery, canonical
+// merge — must allocate nothing, exactly like the single-shard heap engine.
+// The pin holds at every P count: with more than one P, large waves run on
+// the engine's persistent shard workers, and handing a wave to them must not
+// allocate either. It covers an explicit 4-shard engine and the engine a
+// zero Options selects.
 func TestShardedBroadcastSteadyStateZeroAlloc(t *testing.T) {
-	for _, bcast := range []BroadcastProtocol{BroadcastGossip, BroadcastPlumtree} {
-		c := NewCluster(HyParView, Options{N: 300, Seed: 1, Shards: 4, Broadcast: bcast})
-		c.Stabilize(2)
-		for i := 0; i < 10; i++ { // warm shard vectors, pools and scratch buffers
-			if rel := c.Broadcast(); rel != 1.0 {
-				t.Fatalf("broadcast=%d: warm-up reliability %v, want 1.0", bcast, rel)
+	old := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(old)
+	for _, procs := range []int{1, 2, runtime.NumCPU()} {
+		runtime.GOMAXPROCS(procs) // before construction: the engine captures it
+		for _, shards := range []int{4, 0} {
+			for _, bcast := range []BroadcastProtocol{BroadcastGossip, BroadcastPlumtree} {
+				c := NewCluster(HyParView, Options{N: 300, Seed: 1, Shards: shards, Broadcast: bcast})
+				c.Stabilize(2)
+				for i := 0; i < 10; i++ { // warm wave vectors, logs and scratch buffers
+					if rel := c.Broadcast(); rel != 1.0 {
+						t.Fatalf("procs=%d shards=%d broadcast=%d: warm-up reliability %v, want 1.0", procs, shards, bcast, rel)
+					}
+				}
+				allocs := testing.AllocsPerRun(50, func() {
+					if rel := c.Broadcast(); rel != 1.0 {
+						t.Fatal("reliability dropped during measurement")
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("procs=%d shards=%d broadcast=%d: steady-state broadcast allocates %.1f/op, want 0", procs, shards, bcast, allocs)
+				}
 			}
-		}
-		allocs := testing.AllocsPerRun(50, func() {
-			if rel := c.Broadcast(); rel != 1.0 {
-				t.Fatal("reliability dropped during measurement")
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("broadcast=%d: sharded steady-state broadcast allocates %.1f/op, want 0", bcast, allocs)
 		}
 	}
 }

@@ -10,7 +10,9 @@ package sim
 // population plus all reactive protocol traffic it triggers; the benchmark
 // reports protocol events/sec (simulator deliveries, the same unit as
 // BenchmarkEngine) and the steady-state allocations per full-cluster
-// broadcast. Run with:
+// broadcast. BenchmarkCluster10k/100k measure the engine a zero
+// Options.Shards selects — what users run; BenchmarkCluster1M compares
+// engines explicitly. Run with:
 //
 //	go test ./internal/sim/ -run '^$' -bench BenchmarkCluster -benchtime 20x
 
@@ -20,7 +22,7 @@ import (
 	"testing"
 )
 
-func benchCluster(b *testing.B, n int) { benchClusterSharded(b, n, 1) }
+func benchCluster(b *testing.B, n int) { benchClusterSharded(b, n, 0) }
 
 func benchClusterSharded(b *testing.B, n, shards int) {
 	before := heapInUse()

@@ -13,7 +13,6 @@ package sim
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"hyparview/internal/core"
 	"hyparview/internal/cyclon"
@@ -121,13 +120,15 @@ type Options struct {
 	N int
 	// Seed drives all randomness of the run.
 	Seed uint64
-	// Shards selects the simulator's event engine: 1 (or 0, the default)
-	// runs the classic single-shard heap engine; >= 2 runs the sharded
-	// wave/barrier engine (netsim.NewSharded), which partitions the node
-	// table across that many shards and delivers event waves in parallel.
-	// Determinism is preserved per (Seed, Shards) pair, and aggregate
-	// results (reliability, RMR, delivery counts) match the single-shard
-	// engine — the cross-shard conformance suite pins this.
+	// Shards selects the simulator's event engine. Zero (or less) takes
+	// DefaultShards; >= 2 runs the wave/barrier engine
+	// (netsim.NewSharded), which partitions the node table across that many
+	// shards and delivers large event waves in parallel; 1 runs the serial
+	// heap engine, kept as the reference the conformance suite compares
+	// against. Without fault injection, traces are byte-identical at every
+	// shard count; with it they are pinned per (Seed, Shards) pair. Delivery
+	// callbacks (pub/sub handlers included) may run concurrently from shard
+	// workers on the wave engine and must guard state they share.
 	Shards int
 	// Fanout is the gossip fan-out for the peer-sampling protocols
 	// (paper §5.1: 4). HyParView floods and ignores it.
@@ -181,11 +182,11 @@ type Options struct {
 	StabilizationCycles int
 
 	// PubSub, when set, wraps every node's broadcaster in a pubsub.Router
-	// built from this configuration. A nil NextRound defaults to the
-	// cluster Tracker's allocator so published rounds share the global
-	// monotonic space; a nil Fallback defaults to the cluster's delivery
-	// callback so untagged broadcast measurements keep working through the
-	// wrapped stack. Per-node routers are reachable via Cluster.Router.
+	// built from this configuration. A nil NextRound defaults to a per-node
+	// allocator (see nodeRounds); a nil Fallback defaults to the cluster's
+	// delivery callback so untagged broadcast measurements keep working
+	// through the wrapped stack. Per-node routers are reachable via
+	// Cluster.Router.
 	PubSub *pubsub.Config
 
 	// ShuffleInterval, when non-zero, switches HyParView clusters to the
@@ -200,6 +201,15 @@ type Options struct {
 	ShuffleInterval uint64
 }
 
+// DefaultShards is the shard count a zero Options.Shards selects: the
+// wave/barrier engine with two shards. It is a constant, not GOMAXPROCS or
+// the core count, because a run under fault injection is reproducible only
+// per shard count: a host-dependent default would make the same seed give
+// different traces on different machines. On a two-core host four shards
+// were no faster than two and cost more memory (see docs/EXPERIMENTS.md,
+// "The default engine").
+const DefaultShards = 2
+
 // withDefaults fills unset options.
 func (o Options) withDefaults() Options {
 	if o.N == 0 {
@@ -212,7 +222,7 @@ func (o Options) withDefaults() Options {
 		o.Fanout = 4
 	}
 	if o.Shards <= 0 {
-		o.Shards = 1
+		o.Shards = DefaultShards
 	}
 	if o.StabilizationCycles == 0 {
 		o.StabilizationCycles = 50
@@ -237,17 +247,16 @@ type Cluster struct {
 	routers    map[id.ID]*pubsub.Router
 
 	// Virtual-time delivery tracking: per in-flight round, the clock at
-	// broadcast time and the delivery-latency aggregate. Only populated when
-	// the simulator runs in latency mode.
+	// broadcast time and, per shard, the delivery-latency aggregate. Only
+	// populated when the simulator runs in latency mode.
 	timed      bool
 	roundStart map[uint64]uint64
-	roundLat   map[uint64]*latencyAgg
+	roundLat   []map[uint64]*latencyAgg
 
-	// sharded is true when Opts.Shards >= 2: the delivery callback then runs
-	// concurrently from shard goroutines and takes mu. The single-shard path
-	// never touches the lock.
-	sharded bool
-	mu      sync.Mutex
+	// delivers holds one Delivery callback per simulator shard. Shards
+	// deliver concurrently, so each callback writes only its own stripe of
+	// the tracker and of roundLat: no lock on the delivery path.
+	delivers []func(round uint64, topic uint32, payload []byte, hops int)
 }
 
 // latencyAgg collects the virtual-time latency of every delivery of one
@@ -264,13 +273,16 @@ func NewCluster(proto Protocol, opts Options) *Cluster {
 		Protocol:   proto,
 		Opts:       opts,
 		Sim:        netsim.NewSharded(opts.Seed, opts.Shards),
-		Tracker:    gossip.NewTracker(),
-		sharded:    opts.Shards > 1,
 		gossipers:  make(map[id.ID]gossip.Broadcaster, opts.N),
 		membership: make(map[id.ID]peer.Membership, opts.N),
 		routers:    make(map[id.ID]*pubsub.Router),
 		roundStart: make(map[uint64]uint64),
-		roundLat:   make(map[uint64]*latencyAgg),
+	}
+	shards := c.Sim.Shards()
+	c.Tracker = gossip.NewStripedTracker(shards)
+	for k := 0; k < shards; k++ {
+		c.roundLat = append(c.roundLat, make(map[uint64]*latencyAgg))
+		c.delivers = append(c.delivers, c.deliverer(k))
 	}
 	switch {
 	case opts.Latency != nil:
@@ -366,15 +378,15 @@ func (c *Cluster) gossipConfig() gossip.Config {
 // newBroadcaster builds the broadcast-layer node selected by Opts.Broadcast
 // over the membership instance m.
 func (c *Cluster) newBroadcaster(env peer.Env, m peer.Membership) gossip.Broadcaster {
-	deliver := c.deliver
+	deliver := c.delivers[c.Sim.ShardOf(env.Self())]
 	var router *pubsub.Router
 	if c.Opts.PubSub != nil {
 		cfg := *c.Opts.PubSub
 		if cfg.NextRound == nil {
-			cfg.NextRound = c.Tracker.NextRound
+			cfg.NextRound = nodeRounds(env.Self())
 		}
 		if cfg.Fallback == nil {
-			cfg.Fallback = c.deliver
+			cfg.Fallback = deliver
 		}
 		router = pubsub.New(cfg)
 		deliver = router.OnBroadcast
@@ -400,33 +412,45 @@ func (c *Cluster) newBroadcaster(env peer.Env, m peer.Membership) gossip.Broadca
 	return b
 }
 
+// nodeRounds returns a round allocator private to one node. Routers publish
+// from their node's shard, concurrently with other shards, so a shared
+// counter would hand out identifiers in an arrival-dependent order. Rounds
+// need to be unique cluster-wide, not ordered — every round cache evicts in
+// insertion order — so each node numbers its own: the high bit keeps them
+// apart from the Tracker's harness rounds, the node id (cluster nodes are
+// numbered 1..N) apart from other nodes'.
+func nodeRounds(self id.ID) func() uint64 {
+	var n uint64
+	return func() uint64 {
+		n++
+		return 1<<63 | uint64(self)<<32 | n
+	}
+}
+
 // Router returns the pub/sub router of nodeID, or nil when Options.PubSub is
 // unset or the node does not exist.
 func (c *Cluster) Router(nodeID id.ID) *pubsub.Router { return c.routers[nodeID] }
 
-// deliver is the Delivery callback installed on every broadcaster: it feeds
-// the reliability tracker and, in latency mode, aggregates virtual-time
-// delivery latencies for rounds the harness is measuring.
-func (c *Cluster) deliver(round uint64, topic uint32, payload []byte, hops int) {
-	if c.sharded {
-		// Waves deliver on shard goroutines concurrently; the tracker and
-		// latency aggregates are the one piece of cross-node shared state in
-		// the harness. All updates commute (counter adds, max, set-insert), so
-		// aggregate results are independent of arrival order.
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
-	if c.timed {
-		if start, ok := c.roundStart[round]; ok {
-			agg := c.roundLat[round]
-			if agg == nil {
-				agg = &latencyAgg{}
-				c.roundLat[round] = agg
+// deliverer returns the Delivery callback installed on every broadcaster of
+// shard k: it feeds the reliability tracker and, in latency mode,
+// aggregates virtual-time delivery latencies for rounds the harness is
+// measuring — both in shard k's stripe.
+func (c *Cluster) deliverer(k int) func(round uint64, topic uint32, payload []byte, hops int) {
+	track := c.Tracker.Stripe(k)
+	lat := c.roundLat[k]
+	return func(round uint64, topic uint32, payload []byte, hops int) {
+		if c.timed {
+			if start, ok := c.roundStart[round]; ok {
+				agg := lat[round]
+				if agg == nil {
+					agg = &latencyAgg{}
+					lat[round] = agg
+				}
+				agg.samples = append(agg.samples, float64(c.Sim.Now()-start))
 			}
-			agg.samples = append(agg.samples, float64(c.Sim.Now()-start))
 		}
+		track(round, topic, payload, hops)
 	}
-	c.Tracker.Deliver(round, topic, payload, hops)
 }
 
 // beginRound marks a measured broadcast's start on the virtual clock.
@@ -444,25 +468,29 @@ func (c *Cluster) endRound(round uint64) (maxLat, avgLat float64, samples []floa
 		return 0, 0, nil
 	}
 	delete(c.roundStart, round)
-	agg := c.roundLat[round]
-	delete(c.roundLat, round)
-	if agg == nil || len(agg.samples) == 0 {
+	for _, lat := range c.roundLat {
+		if agg := lat[round]; agg != nil {
+			samples = append(samples, agg.samples...)
+			delete(lat, round)
+		}
+	}
+	if len(samples) == 0 {
 		return 0, 0, nil
 	}
-	if c.sharded {
-		// Concurrent delivery makes the sample order arrival-dependent; sort
+	if len(c.roundLat) > 1 {
+		// Sample order follows the shard stripes, not delivery order; sort
 		// so float summation (and hence the reported means) is deterministic
-		// and matches the single-shard engine bit for bit.
-		sort.Float64s(agg.samples)
+		// and independent of the shard count.
+		sort.Float64s(samples)
 	}
 	var sum float64
-	for _, lat := range agg.samples {
+	for _, lat := range samples {
 		sum += lat
 		if lat > maxLat {
 			maxLat = lat
 		}
 	}
-	return maxLat, sum / float64(len(agg.samples)), agg.samples
+	return maxLat, sum / float64(len(samples)), samples
 }
 
 // Stabilize runs the given number of membership rounds (paper: 50) over the

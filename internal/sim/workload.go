@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"hyparview/internal/gossip"
 	"hyparview/internal/id"
@@ -172,17 +174,23 @@ func runWorkloadArm(arm string, opts Options, wopts WorkloadOptions) WorkloadPoi
 	})
 
 	published := make([]uint64, w.Topics()+1)
-	delivered := make([]uint64, w.Topics()+1)
-	var values, weights []float64
-	handler := func(topic uint32, payload []byte, _ int) {
-		delivered[topic]++
-		if len(payload) >= 8 {
-			values = append(values, float64(c.Sim.Now()-binary.BigEndian.Uint64(payload)))
-			weights = append(weights, w.Weight(topic))
+	// Subscriber handlers run on their node's shard, concurrently with the
+	// other shards': each shard records into its own stripe.
+	stripes := make([]workloadStripe, c.Sim.Shards())
+	handlers := make([]pubsub.Handler, len(stripes))
+	for k := range stripes {
+		st := &stripes[k]
+		st.delivered = make([]uint64, w.Topics()+1)
+		handlers[k] = func(topic uint32, payload []byte, _ int) {
+			st.delivered[topic]++
+			if len(payload) >= 8 {
+				st.samples = append(st.samples, [2]float64{float64(c.Sim.Now() - binary.BigEndian.Uint64(payload)), w.Weight(topic)})
+			}
 		}
 	}
 	for i, nodeID := range c.ids {
 		r := c.Router(nodeID)
+		handler := handlers[c.Sim.ShardOf(nodeID)]
 		for _, topic := range w.Subscriptions(i) {
 			if err := r.Subscribe(topic, handler); err != nil {
 				panic(fmt.Sprintf("sim: workload subscribe: %v", err))
@@ -239,6 +247,28 @@ func runWorkloadArm(arm string, opts Options, wopts WorkloadOptions) WorkloadPoi
 	c.Sim.Drain()
 	c.Sim.Intercept = nil
 
+	delivered := stripes[0].delivered
+	samples := stripes[0].samples
+	for _, st := range stripes[1:] {
+		for topic, n := range st.delivered {
+			delivered[topic] += n
+		}
+		samples = append(samples, st.samples...)
+	}
+	// Sort the (latency, weight) samples so the weighted percentiles do not
+	// depend on which shard recorded a delivery.
+	slices.SortFunc(samples, func(a, b [2]float64) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a[1], b[1])
+	})
+	values := make([]float64, len(samples))
+	weights := make([]float64, len(samples))
+	for i, sm := range samples {
+		values[i], weights[i] = sm[0], sm[1]
+	}
+
 	p := WorkloadPoint{Arm: arm, Events: wopts.Events}
 	p.Frames = workloadFrames(c) - baseFrames
 	relSum, topics := 0.0, 0
@@ -274,6 +304,13 @@ func runWorkloadArm(arm string, opts Options, wopts WorkloadOptions) WorkloadPoi
 		p.HotBytesPerDelivery = float64(topicBytes[1]) / float64(delivered[1])
 	}
 	return p
+}
+
+// workloadStripe is one shard's share of a workload arm's delivery
+// accounting: per-topic delivery counts and (latency, weight) samples.
+type workloadStripe struct {
+	delivered []uint64
+	samples   [][2]float64
 }
 
 // flushRouters broadcasts every open batch frame across the cluster.

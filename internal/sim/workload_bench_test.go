@@ -14,6 +14,7 @@ package sim
 import (
 	"encoding/binary"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"hyparview/internal/pubsub"
@@ -38,8 +39,9 @@ func BenchmarkPubSub10k(b *testing.B) {
 	c := NewCluster(HyParView, opts)
 	c.Stabilize(2)
 	w := workload.New(workload.Config{Seed: 1, Nodes: n})
-	var delivered uint64
-	handler := func(uint32, []byte, int) { delivered++ }
+	// Shards dispatch to subscribers concurrently.
+	var delivered atomic.Uint64
+	handler := func(uint32, []byte, int) { delivered.Add(1) }
 	for i, nodeID := range c.ids {
 		r := c.Router(nodeID)
 		for _, topic := range w.Subscriptions(i) {
@@ -69,7 +71,7 @@ func BenchmarkPubSub10k(b *testing.B) {
 		c.Sim.Drain()
 	}
 	replay()
-	if delivered == 0 {
+	if delivered.Load() == 0 {
 		b.Fatal("warm-up replay delivered nothing")
 	}
 	runtime.GC()
