@@ -68,7 +68,7 @@ func run(args []string, out io.Writer) error {
 		duration   = fs.Uint64("duration", 0, "stabilization budget as a virtual-time duration in ticks, rounded up to whole shuffle rounds (requires -shuffle-interval; overrides -stabilize)")
 		fanout     = fs.Int("fanout", 4, "gossip fanout for Cyclon/Scamp (paper: 4)")
 		broadcast  = fs.String("broadcast", "gossip", "broadcast layer: gossip (flood/fanout) or plumtree")
-		shards     = fs.Int("shards", 0, "event-engine shards: 0 takes the engine default (the wave/barrier engine with sim.DefaultShards shards), 1 the serial heap engine, >1 that many wave-engine shards (same seed + same shard count reproduces the same run)")
+		shards     = fs.Int("shards", 0, "event-engine shards: 0 takes the default (sim.DefaultShards), >=1 partitions the node table into that many shards whose large waves are delivered in parallel (the same seed reproduces the same run at every shard count)")
 		latency    = fs.String("latency", "none", "latency model: none (FIFO), uniform, euclidean or transit")
 		optimize   = fs.String("optimize", "none", "overlay optimizer: none or xbot (HyParView only)")
 		pcts       = fs.String("pcts", "", "comma-separated failure percentages (default per experiment)")

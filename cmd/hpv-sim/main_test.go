@@ -189,7 +189,7 @@ func TestRunBadFlag(t *testing.T) {
 }
 
 // TestRunShardsFlag pins the -shards contract: 0 (the default) and every
-// explicit engine choice print the same tables for a fault-free experiment,
+// explicit shard count print the same tables for a fault-free experiment,
 // and negative counts are rejected.
 func TestRunShardsFlag(t *testing.T) {
 	tables := func(shards string) string {

@@ -161,6 +161,12 @@ func (n *Node) NeighborVersion() uint64 { return n.active.Version() }
 // scratch buffer, valid only until the next call — this runs once per
 // delivered broadcast and must not allocate.
 func (n *Node) GossipTargets(_ int, exclude id.ID) []id.ID {
+	if n.gossipScratch == nil {
+		// Sized for a full active view at first use: grown on demand, the
+		// buffer would reallocate again the first time the node broadcasts
+		// as a source, which has one more target than a forward.
+		n.gossipScratch = make([]id.ID, 0, n.cfg.ActiveSize)
+	}
 	n.gossipScratch = n.active.AppendExcept(n.gossipScratch[:0], exclude)
 	return n.gossipScratch
 }

@@ -165,30 +165,34 @@ func TestInterceptSkipsTimers(t *testing.T) {
 	}
 }
 
-func TestInterceptHookMayGrowSlab(t *testing.T) {
-	// The hook runs on a private copy taken before its slab slot is
-	// released, so a hook that schedules many redeliveries (growing the
-	// event slab and invalidating interior pointers) must not corrupt the
-	// message under inspection.
-	s := New(1)
-	addRecorder(s, 1)
-	b := addRecorder(s, 2)
-	payload := []byte{1, 2, 3, 4}
-	s.Intercept = func(node id.ID, m *msg.Message) (*msg.Message, bool) {
-		for i := 0; i < 64; i++ { // force slab growth mid-hook
-			_ = s.Redeliver(m.Sender, node, msg.Message{Type: msg.Gossip, Sender: m.Sender, Round: 1000 + uint64(i)}, 1)
+func TestInterceptHookRedeliverMayGrowInstantVectors(t *testing.T) {
+	// The hook runs in the wave pre-pass on a private copy of the message.
+	// A hook that schedules many redeliveries at the current instant grows
+	// the instant's vectors (the coordinator-sequenced records and the next
+	// wave) while the pre-pass is still walking the wave; that must not
+	// corrupt the message under inspection, nor lose any copy. Delayed
+	// redeliveries grow a later bucket instead; both are checked.
+	for _, delay := range []uint64{0, 1} {
+		s := New(1)
+		addRecorder(s, 1)
+		b := addRecorder(s, 2)
+		payload := []byte{1, 2, 3, 4}
+		s.Intercept = func(node id.ID, m *msg.Message) (*msg.Message, bool) {
+			for i := 0; i < 64; i++ { // force vector growth mid-hook
+				_ = s.Redeliver(m.Sender, node, msg.Message{Type: msg.Gossip, Sender: m.Sender, Round: 1000 + uint64(i)}, delay)
+			}
+			if len(m.Payload) != 4 || m.Payload[0] != 1 {
+				t.Errorf("delay=%d: message corrupted under vector growth: %+v", delay, *m)
+			}
+			return nil, true
 		}
-		if len(m.Payload) != 4 || m.Payload[0] != 1 {
-			t.Errorf("message corrupted under slab growth: %+v", *m)
+		if err := s.Inject(1, 2, msg.Message{Type: msg.Gossip, Sender: 1, Round: 1, Payload: payload}); err != nil {
+			t.Fatal(err)
 		}
-		return nil, true
-	}
-	if err := s.Inject(1, 2, msg.Message{Type: msg.Gossip, Sender: 1, Round: 1, Payload: payload}); err != nil {
-		t.Fatal(err)
-	}
-	s.Drain()
-	if len(b.got) != 65 {
-		t.Errorf("deliveries = %d, want 65", len(b.got))
+		s.Drain()
+		if len(b.got) != 65 {
+			t.Errorf("delay=%d: deliveries = %d, want 65", delay, len(b.got))
+		}
 	}
 }
 

@@ -14,22 +14,17 @@
 //     delayed per link and the virtual clock advances to each event's
 //     timestamp. A long run allocates no per-event garbage beyond the
 //     messages themselves.
-//   - Two engines execute that order. The wave/barrier engine (shards.go,
-//     NewSharded with two or more shards) is the one simulated clusters run
-//     by default: it delivers all events due at an instant as a wave, large
-//     waves in parallel across shards, and sequences their output at a
-//     barrier. The serial heap engine (New, or NewSharded with one shard)
-//     pops one event at a time off a 4-ary heap over a pooled slab; it is
-//     kept as the reference the conformance and determinism tests compare
-//     the wave engine against. Without an Intercept hook the two produce
-//     byte-identical traces at every shard count. With one, hook re-entry
-//     (Redeliver) sequences differently on the heap engine, so injected
-//     traces are pinned per shard count — which is why callers default to a
-//     constant shard count (sim.DefaultShards), never to GOMAXPROCS: the
-//     same seed must give the same run on every host.
+//   - One engine executes that order: the wave/barrier engine (shards.go).
+//     It delivers all events due at an instant as a wave, large waves in
+//     parallel across shards of the node table, and sequences their output
+//     at a barrier in exactly the order a one-event-at-a-time run would have
+//     produced it. New builds it with one shard, NewSharded with any count.
+//     The shard count never changes a run: the same seed gives a
+//     byte-identical trace at every count, with or without an Intercept
+//     hook, because hooks run serially over each wave in canonical order.
 //   - The simulator implements peer.Scheduler: protocols schedule one-shot
 //     timers (After) and periodic rounds (Every) as self-addressed messages
-//     on the same heap, interleaved in time order with network traffic.
+//     in the same schedule, interleaved in time order with network traffic.
 //   - Send and Probe to a failed node return peer.ErrPeerDown to the caller
 //     immediately. This models TCP's connect/reset failure signal, the
 //     failure detector HyParView relies on. Lossy protocols simply ignore
@@ -47,13 +42,14 @@
 //     externally-driven cycle mode.
 //
 // The simulator is not safe for concurrent use; experiments own one Sim each.
-// On the wave engine, process handlers (and the Delivery callbacks they
-// invoke) of nodes on different shards run concurrently; nodes never share
-// a shard's state, but callbacks into host code must guard what they share.
+// Process handlers (and the Delivery callbacks they invoke) of nodes on
+// different shards run concurrently; nodes never share a shard's state, but
+// callbacks into host code must guard what they share.
 package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"hyparview/internal/id"
 	"hyparview/internal/msg"
@@ -76,7 +72,7 @@ const (
 	kindPeriodic              // periodic scheduler delivery (re-arms itself)
 )
 
-// event is the pooled payload of one scheduled delivery.
+// event is the payload of one scheduled delivery.
 type event struct {
 	from     id.ID // sender identity handed to Deliver (self for timers)
 	to       int32 // destination node index
@@ -84,14 +80,6 @@ type event struct {
 	exempt   bool   // bypass the Intercept hook (fault-injected redeliveries)
 	interval uint64 // re-arm interval for kindPeriodic
 	m        msg.Message
-}
-
-// heapEvent is the compact ordering record kept on the heap; the bulky event
-// body stays put in the slab while these 24-byte records are sifted.
-type heapEvent struct {
-	at   uint64 // virtual delivery time
-	seq  uint64 // tiebreaker preserving scheduling order
-	slot int32  // slab index
 }
 
 // simNode is the simulator's per-node bookkeeping, stored by value in a
@@ -106,7 +94,7 @@ type simNode struct {
 	// registrations) that came due while the node was failed. They are
 	// re-scheduled on Revive: dropping them would wedge timer-owning state
 	// machines forever, and re-arming a dead node's periodic rounds would
-	// burn heap work delivering nothing for the rest of the run.
+	// burn engine work delivering nothing for the rest of the run.
 	parked []event
 }
 
@@ -160,21 +148,15 @@ type Sim struct {
 
 	stats Stats
 
-	heap  []heapEvent // messages and one-shot timers
-	pheap []heapEvent // periodic rounds: fired only by RunFor
-	slab  []event
-	free  []int32 // recycled slab slots
-	wire  int     // in-flight network messages, the population MaxQueue bounds
+	wire int // in-flight network messages, the population MaxQueue bounds
 
 	now uint64 // virtual clock
 	seq uint64 // scheduling sequence for deterministic tie-breaking
 
-	// shards, when non-empty, switches the simulator to the wave/barrier
-	// engine (see shards.go): the heap/slab machinery above stays empty and
-	// every event lives in the wave engine's stores below instead. Built by
-	// NewSharded; nil for the serial heap engine.
+	// shards partitions the node table for the wave/barrier engine (see
+	// shards.go); there is always at least one.
 	shards []shard
-	// future holds the wave engine's pending instants, latest first; bpool
+	// future holds the pending instants, latest first; bpool
 	// recycles their vectors. periodic is the (at, seq) heap of periodic
 	// registrations and due its scratch for the instant being formed.
 	future   []bucket
@@ -198,20 +180,17 @@ type Sim struct {
 	// tail of fifo, its global delivery queue.
 	serial bool
 	fifo   []*sevent
-	// waveParallel gates the worker handoff on a multi-P runtime (captured
-	// at NewSharded); crew holds the workers, started by the first parallel
-	// wave.
+	// waveParallel gates the worker handoff: more than one shard on a
+	// multi-P runtime (captured at NewSharded); crew holds the workers,
+	// started by the first parallel wave.
 	waveParallel bool
 	crew         *crew
-	shardMask    int     // shard count - 1 when it is a power of two, else 0
+	shardMask    int     // shard count - 1 when it is a power of two, else -1
 	watchBuf     []id.ID // flushDowns scratch
 
-	// watchers maps a watched node to the set of nodes holding an open
-	// connection to it; when it fails, live watchers implementing
-	// peer.FailureObserver receive OnPeerDown (a TCP reset, delivered at
-	// the next Drain). Heap engine only (nil on the wave engine, whose
-	// shards keep per-node sorted watcher lists instead).
-	watchers     map[id.ID]map[id.ID]struct{}
+	// pendingDowns queues failed (or cut-off) nodes whose live watchers —
+	// nodes holding an open connection to them, see Endpoint.Watch — receive
+	// OnPeerDown (a TCP reset) at the next Drain or RunFor.
 	pendingDowns []id.ID
 
 	// partition, when non-nil, assigns nodes to network partitions: traffic
@@ -258,18 +237,9 @@ type Sim struct {
 	Intercept func(node id.ID, m *msg.Message) (*msg.Message, bool)
 }
 
-// New returns an empty simulator seeded with seed, running the single-shard
-// heap engine: the reference the wave engine is checked against.
-func New(seed uint64) *Sim {
-	s := newSim(seed)
-	s.watchers = make(map[id.ID]map[id.ID]struct{})
-	return s
-}
-
-// newSim returns the engine-independent core of a simulator.
-func newSim(seed uint64) *Sim {
-	return &Sim{rand: rng.New(seed), index: make(map[id.ID]int32), dense: true}
-}
+// New returns an empty single-shard simulator seeded with seed: every
+// delivery runs on the calling goroutine.
+func New(seed uint64) *Sim { return NewSharded(seed, 1) }
 
 // nodeIndex translates a node identifier to its table index. In the dense
 // id regime (see Sim.dense) this is a bounds check and a subtraction; only
@@ -291,7 +261,7 @@ type Endpoint struct {
 	self id.ID
 	idx  int32
 	rand *rng.Rand
-	sh   *shard // owning shard under the wave engine; nil single-shard
+	sh   *shard // the shard that owns this node
 }
 
 var _ peer.Env = (*Endpoint)(nil)
@@ -304,23 +274,18 @@ func (e *Endpoint) Rand() *rng.Rand { return e.rand }
 
 // Send enqueues m for delivery to dst, or returns peer.ErrPeerDown if dst has
 // already failed (TCP-style synchronous failure detection). The message is
-// handed on by pointer internally: one struct copy lands in the event slab
-// and no others are made.
+// handed on by pointer internally: one struct copy lands in the sending
+// shard's output log (or, outside a wave, in the schedule) and no others are
+// made.
 func (e *Endpoint) Send(dst id.ID, m msg.Message) error {
-	if e.sh != nil {
-		return e.sim.sendSharded(e.sh, e.self, dst, &m)
-	}
-	return e.sim.send(e.self, dst, &m)
+	return e.sim.send(e.sh, e.self, dst, &m)
 }
 
 // SendRef implements peer.RefSender: Send without the by-value argument copy,
 // for the broadcast fan-out paths that push one frozen message to every
 // neighbor.
 func (e *Endpoint) SendRef(dst id.ID, m *msg.Message) error {
-	if e.sh != nil {
-		return e.sim.sendSharded(e.sh, e.self, dst, m)
-	}
-	return e.sim.send(e.self, dst, m)
+	return e.sim.send(e.sh, e.self, dst, m)
 }
 
 // Probe reports whether a connection to dst could be established.
@@ -328,7 +293,7 @@ func (e *Endpoint) Probe(dst id.ID) error {
 	s := e.sim
 	ti, ok := s.nodeIndex(dst)
 	if !ok || !s.aliveAt(ti) || !s.reachable(e.self, dst) {
-		if e.sh != nil && s.inWave {
+		if s.inWave {
 			e.sh.stats.sendFailures++ // shard-local: Probe may run mid-wave
 		} else {
 			s.stats.SendFailures++
@@ -346,11 +311,7 @@ func (e *Endpoint) Now() uint64 { return e.sim.now }
 // traffic already scheduled at the current instant when delay is zero.
 // Infallible: timers bypass the MaxQueue limit (see schedule).
 func (e *Endpoint) After(delay uint64, m msg.Message) {
-	if e.sh != nil {
-		e.sim.scheduleSharded(e.sh, e.self, e.idx, true, delay, &m)
-		return
-	}
-	_ = e.sim.schedule(e.self, e.idx, kindTimer, delay, 0, &m, false)
+	e.sim.schedule(e.sh, e.self, e.idx, true, delay, &m)
 }
 
 // Every implements peer.Scheduler: m is delivered to this node's process
@@ -361,44 +322,17 @@ func (e *Endpoint) Every(interval uint64, m msg.Message) {
 	if interval == 0 {
 		interval = 1
 	}
-	if e.sh != nil {
-		e.sim.scheduleSharded(e.sh, e.self, e.idx, false, interval, &m)
-		return
-	}
-	_ = e.sim.schedule(e.self, e.idx, kindPeriodic, interval, interval, &m, false)
+	e.sim.schedule(e.sh, e.self, e.idx, false, interval, &m)
 }
 
 // Watch registers this node for failure notifications about dst, modelling
-// an open TCP connection.
-func (e *Endpoint) Watch(dst id.ID) {
-	if e.sh != nil {
-		// Registration lives on the watcher's own shard: only this node
-		// (hence only this shard's goroutine) ever writes it, so watches
-		// taken mid-wave need no lock.
-		e.sh.watch(e.self, dst)
-		return
-	}
-	ws := e.sim.watchers[dst]
-	if ws == nil {
-		ws = make(map[id.ID]struct{}, 4)
-		e.sim.watchers[dst] = ws
-	}
-	ws[e.self] = struct{}{}
-}
+// an open TCP connection. The registration lives on the watcher's own shard:
+// only this node (hence only this shard's goroutine) ever writes it, so
+// watches taken mid-wave need no lock.
+func (e *Endpoint) Watch(dst id.ID) { e.sh.watch(e.self, dst) }
 
 // Unwatch cancels a Watch, modelling closing the connection.
-func (e *Endpoint) Unwatch(dst id.ID) {
-	if e.sh != nil {
-		e.sh.unwatch(e.self, dst)
-		return
-	}
-	if ws := e.sim.watchers[dst]; ws != nil {
-		delete(ws, e.self)
-		if len(ws) == 0 {
-			delete(e.sim.watchers, dst)
-		}
-	}
-}
+func (e *Endpoint) Unwatch(dst id.ID) { e.sh.unwatch(e.self, dst) }
 
 // Add registers a new live node and constructs its process via factory,
 // which receives the node's environment. Add panics on duplicate ids: that
@@ -415,10 +349,7 @@ func (s *Sim) Add(nodeID id.ID, factory func(peer.Env) peer.Process) {
 	if nodeID != id.ID(idx+1) {
 		s.dense = false
 	}
-	ep := &Endpoint{sim: s, self: nodeID, idx: idx, rand: s.rand.Split()}
-	if s.sharded() {
-		ep.sh = s.shardOf(idx)
-	}
+	ep := &Endpoint{sim: s, self: nodeID, idx: idx, rand: s.rand.Split(), sh: s.shardOf(idx)}
 	s.nodes = append(s.nodes, simNode{id: nodeID, rand: ep.rand, alive: true})
 	s.index[nodeID] = idx
 	for int(idx)>>6 >= len(s.aliveBits) {
@@ -443,27 +374,6 @@ func (s *Sim) aliveAt(idx int32) bool {
 	return s.aliveBits[idx>>6]&(1<<(uint(idx)&63)) != 0
 }
 
-// send implements Endpoint.Send. m is passed by pointer to avoid struct
-// copies on the per-send hot path; the callee stores exactly one copy into
-// the event slab and never retains the pointer.
-func (s *Sim) send(from, to id.ID, m *msg.Message) error {
-	ti, ok := s.nodeIndex(to)
-	if !ok || !s.aliveAt(ti) || !s.reachable(from, to) {
-		s.stats.SendFailures++
-		return fmt.Errorf("send %v->%v: %w", from, to, peer.ErrPeerDown)
-	}
-	var delay uint64
-	if s.Latency != nil {
-		delay = s.Latency(from, to, s.rand)
-	}
-	if err := s.schedule(from, ti, kindMessage, delay, 0, m, false); err != nil {
-		return err
-	}
-	s.stats.Sent++
-	s.stats.BytesSent += uint64(m.EncodedSize())
-	return nil
-}
-
 // Redeliver enqueues m for delivery to dst after delay ticks, bypassing both
 // the Intercept hook and the Latency model: it is the re-entry path fault
 // injectors use to express delay, duplicate and replay faults without the
@@ -471,65 +381,24 @@ func (s *Sim) send(from, to id.ID, m *msg.Message) error {
 // MaxQueue and the delivery stats but not Stats.Sent — it is a fault
 // artifact, not a protocol send. An unknown or dead destination is reported
 // as down, matching Send; a node dying afterwards drops the copy at delivery
-// time like any in-flight message.
+// time like any in-flight message. Hooks run on the coordinator (the wave
+// pre-pass), never on shard goroutines, so re-entry here always sequences
+// immediately.
 func (s *Sim) Redeliver(from, to id.ID, m msg.Message, delay uint64) error {
-	if s.sharded() {
-		// Hooks run on the coordinator (the wave pre-pass), never on shard
-		// goroutines, so re-entry here always sequences immediately.
-		return s.redeliverSharded(from, to, &m, delay)
-	}
 	ti, ok := s.nodeIndex(to)
 	if !ok || !s.aliveAt(ti) {
 		return fmt.Errorf("redeliver %v->%v: %w", from, to, peer.ErrPeerDown)
 	}
-	if err := s.schedule(from, ti, kindMessage, delay, 0, &m, true); err != nil {
-		return err
+	if s.wire >= s.queueLimit() {
+		s.stats.Overflowed++
+		return fmt.Errorf("%w: %d messages in flight (message storm?)", ErrOverflow, s.wire)
 	}
+	s.wire++
+	s.seq++
+	ev := &s.enqueueAt(s.now+delay, s.seq, ti).ev
+	ev.from, ev.kind, ev.exempt, ev.m = from, kindMessage, true, m
 	s.stats.Redelivered++
 	return nil
-}
-
-// schedule places one event on its heap, drawing its body from the slab
-// pool. Only network messages are subject to the MaxQueue limit: they are
-// what a storm amplifies, while scheduler deliveries are bounded by protocol
-// state (one timer per missing round, one registration per periodic task) —
-// dropping those would wedge timer-owning state machines forever (an armed
-// Plumtree timer that never fires blocks that round's repair permanently),
-// so After/Every stay genuinely infallible as the contract promises.
-func (s *Sim) schedule(from id.ID, to int32, kind uint8, delay, interval uint64, m *msg.Message, exempt bool) error {
-	if kind == kindMessage {
-		limit := s.MaxQueue
-		if limit <= 0 {
-			limit = 64 << 20
-		}
-		if s.wire >= limit {
-			s.stats.Overflowed++
-			return fmt.Errorf("%w: %d messages in flight (message storm?)", ErrOverflow, s.wire)
-		}
-		s.wire++
-	}
-	slot := s.newSlot()
-	ev := &s.slab[slot]
-	ev.from, ev.to, ev.kind, ev.exempt, ev.interval, ev.m = from, to, kind, exempt, interval, *m
-	s.seq++
-	he := heapEvent{at: s.now + delay, seq: s.seq, slot: slot}
-	if kind == kindPeriodic {
-		push(&s.pheap, he)
-	} else {
-		push(&s.heap, he)
-	}
-	return nil
-}
-
-// newSlot takes a free slab slot, growing the slab when the pool is dry.
-func (s *Sim) newSlot() int32 {
-	if n := len(s.free); n > 0 {
-		slot := s.free[n-1]
-		s.free = s.free[:n-1]
-		return slot
-	}
-	s.slab = append(s.slab, event{})
-	return int32(len(s.slab) - 1)
 }
 
 // Now returns the virtual clock in ticks. It advances whenever an event with
@@ -537,230 +406,10 @@ func (s *Sim) newSlot() int32 {
 // jumps to the end of every RunFor window.
 func (s *Sim) Now() uint64 { return s.now }
 
-// The event heaps are 4-ary: half the sift-down depth of a binary heap and
-// all four children of a node adjacent in memory (96 of 128 cache-line
-// bytes), which matters when a 100k-node broadcast keeps hundreds of
-// thousands of records in flight. (at, seq) is a strict total order — seq is
-// unique — so the pop sequence is identical to any other correct min-heap's
-// and determinism is untouched by the arity.
-
-// push inserts he into h (min-ordered by at, then seq). An event scheduled
-// behind everything at its instant (the FIFO common case: monotonically
-// increasing seq) terminates after a single parent comparison.
-func push(h *[]heapEvent, he heapEvent) {
-	*h = append(*h, he)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !eventLess(s[i], s[parent]) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-// pop removes the earliest event record from h.
-func pop(h *[]heapEvent) heapEvent {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	*h = s
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= len(s) {
-			return top
-		}
-		smallest := i
-		end := first + 4
-		if end > len(s) {
-			end = len(s)
-		}
-		for c := first; c < end; c++ {
-			if eventLess(s[c], s[smallest]) {
-				smallest = c
-			}
-		}
-		if smallest == i {
-			return top
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
-	}
-}
-
-func eventLess(a, b heapEvent) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
 // Inject enqueues a message from outside the simulation (the experiment
 // harness), e.g. the initial JOIN or a broadcast trigger.
 func (s *Sim) Inject(from, to id.ID, m msg.Message) error {
-	if s.sharded() {
-		return s.sendSharded(nil, from, to, &m)
-	}
-	return s.send(from, to, &m)
-}
-
-// flushDowns delivers pending connection-reset notifications to live
-// watchers. Notifications run before queued messages so that a batch of
-// simultaneous failures is observed atomically, as the paper's methodology
-// induces them.
-func (s *Sim) flushDowns() {
-	if s.sharded() {
-		s.flushDownsSharded()
-		return
-	}
-	for len(s.pendingDowns) > 0 {
-		victim := s.pendingDowns[0]
-		s.pendingDowns = s.pendingDowns[1:]
-		ws := s.watchers[victim]
-		if len(ws) == 0 {
-			continue
-		}
-		vDead := true
-		if vi, ok := s.nodeIndex(victim); ok && s.nodes[vi].alive {
-			vDead = false
-		}
-		// Deterministic notification order.
-		watcherIDs := make([]id.ID, 0, len(ws))
-		for w := range ws {
-			watcherIDs = append(watcherIDs, w)
-		}
-		sortIDs(watcherIDs)
-		for _, w := range watcherIDs {
-			wi, ok := s.nodeIndex(w)
-			if !ok || !s.nodes[wi].alive {
-				delete(ws, w) // dead watchers never hear anything again
-				continue
-			}
-			// A crash resets every connection; a partition resets only the
-			// links that cross the cut.
-			if !vDead && s.reachable(w, victim) {
-				continue
-			}
-			delete(ws, w)
-			if obs, ok := s.nodes[wi].proc.(peer.FailureObserver); ok {
-				obs.OnPeerDown(victim)
-			}
-		}
-		if len(ws) == 0 {
-			delete(s.watchers, victim)
-		}
-	}
-}
-
-// fire processes one popped event, advancing the clock to its timestamp.
-// It returns 1 when a process received a delivery, 0 when the event was
-// dropped (dead or unreachable destination).
-//
-// The hot path delivers straight out of the event slab: the only Message
-// copy made here is the Deliver argument itself. The slot is released after
-// delivery — handlers scheduling new traffic therefore cannot recycle it
-// mid-call, and the ev pointer is never dereferenced again once a callee
-// (schedule, Deliver) could have grown the slab under it.
-func (s *Sim) fire(he heapEvent) int {
-	ev := &s.slab[he.slot]
-	kind := ev.kind
-	from := ev.from
-	if kind == kindMessage {
-		s.wire--
-	}
-	if he.at > s.now {
-		s.now = he.at
-	}
-	dst := &s.nodes[ev.to]
-	if !dst.alive {
-		switch kind {
-		case kindMessage:
-			// Destination died while the message was in flight.
-			s.stats.Dropped++
-		default:
-			// Scheduler state survives the failure: park the timer or
-			// registration for Revive instead of dropping it (see simNode).
-			dst.parked = append(dst.parked, *ev)
-		}
-		s.releaseSlot(he.slot)
-		return 0
-	}
-	if kind == kindPeriodic {
-		// Re-arm before delivering so the cadence is unaffected by whatever
-		// the handler schedules. A round whose deadline the clock has
-		// already passed (Drain advanced time while the periodic schedule
-		// was frozen) drops the missed firings, like time.Ticker.
-		next := he.at + ev.interval
-		if next <= s.now {
-			next = s.now + ev.interval
-		}
-		evCopy := *ev
-		s.seq++
-		slot := s.newSlot() // may grow the slab: refresh ev below
-		s.slab[slot] = evCopy
-		push(&s.pheap, heapEvent{at: next, seq: s.seq, slot: slot})
-		ev = &s.slab[he.slot]
-	}
-	if kind == kindMessage {
-		if !s.reachable(from, dst.id) {
-			s.stats.Dropped++ // the network cut while in flight
-			s.releaseSlot(he.slot)
-			return 0
-		}
-		if s.Intercept != nil && !ev.exempt {
-			return s.fireIntercepted(he, ev.to, from)
-		}
-		if s.Tap != nil {
-			s.Tap(from, dst.id, ev.m)
-		}
-	}
-	dst.proc.Deliver(from, ev.m)
-	// ev is stale here (Deliver may have scheduled and grown the slab).
-	s.releaseSlot(he.slot)
-	if kind == kindMessage {
-		s.stats.Delivered++
-	}
-	return 1
-}
-
-// fireIntercepted runs the Intercept hook for one message delivery. The hook
-// operates on a private struct copy: it may mutate or replace that copy but
-// never the slab slot, whose slices are shared copy-on-write with every other
-// copy of a fan-out — and the copy also keeps the delivered message stable
-// when the hook's own Redeliver calls grow the slab under the slot.
-func (s *Sim) fireIntercepted(he heapEvent, toIdx int32, from id.ID) int {
-	hooked := s.slab[he.slot].m
-	s.releaseSlot(he.slot)
-	dstID := s.nodes[toIdx].id
-	repl, deliver := s.Intercept(dstID, &hooked)
-	if !deliver {
-		s.stats.FaultDropped++
-		return 0
-	}
-	if repl != nil {
-		hooked = *repl
-	}
-	if s.Tap != nil {
-		s.Tap(from, dstID, hooked)
-	}
-	s.nodes[toIdx].proc.Deliver(from, hooked)
-	s.stats.Delivered++
-	return 1
-}
-
-// releaseSlot returns a slab slot to the free list, nil-ing only the
-// pointer-bearing fields (the GC cares about nothing else, and schedule
-// fully reassigns every field on reuse) — cheaper than zeroing the whole
-// 160-byte event.
-func (s *Sim) releaseSlot(slot int32) {
-	m := &s.slab[slot].m
-	m.Nodes, m.Entries, m.Payload, m.Directory = nil, nil, nil, nil
-	s.free = append(s.free, slot)
+	return s.send(nil, from, to, &m)
 }
 
 // Drain delivers events until no messages or one-shot timers remain and
@@ -772,13 +421,10 @@ func (s *Sim) releaseSlot(slot int32) {
 // self-sustaining rounds fire here would keep a latency-model run from ever
 // quiescing. Periodic rounds fire in RunFor.
 func (s *Sim) Drain() int {
-	if s.sharded() {
-		return s.drainSharded()
-	}
 	delivered := 0
 	s.flushDowns()
-	for len(s.heap) > 0 {
-		delivered += s.fire(pop(&s.heap))
+	for n := len(s.future); n > 0; n = len(s.future) {
+		delivered += s.runInstant(s.future[n-1].at, false)
 		s.flushDowns()
 	}
 	return delivered
@@ -791,34 +437,31 @@ func (s *Sim) Drain() int {
 // gaps; traffic scheduled beyond the window stays pending for the next
 // RunFor or Drain.
 func (s *Sim) RunFor(d uint64) int {
-	if s.sharded() {
-		return s.runForSharded(d)
-	}
 	target := s.now + d
 	delivered := 0
 	s.flushDowns()
 	for {
-		hasOnce := len(s.heap) > 0 && s.heap[0].at <= target
-		hasPeriodic := len(s.pheap) > 0 && s.pheap[0].at <= target
-		var he heapEvent
-		switch {
-		case hasOnce && (!hasPeriodic || eventLess(s.heap[0], s.pheap[0])):
-			he = pop(&s.heap)
-		case hasPeriodic:
-			he = pop(&s.pheap)
-		default:
+		var t uint64
+		ok := false
+		if n := len(s.future); n > 0 {
+			t, ok = s.future[n-1].at, true
+		}
+		if len(s.periodic) > 0 && (!ok || s.periodic[0].at < t) {
+			t, ok = s.periodic[0].at, true
+		}
+		if !ok || t > target {
 			if target > s.now {
 				s.now = target
 			}
 			return delivered
 		}
-		delivered += s.fire(he)
+		delivered += s.runInstant(t, true)
 		s.flushDowns()
 	}
 }
 
 // RunCycle executes one membership protocol cycle: every live node's OnCycle
-// hook runs once, in seeded random order, with the event heap drained
+// hook runs once, in seeded random order, with the pending events drained
 // after each hook (PeerSim cycle-driven semantics). Protocols that schedule
 // their own periodic rounds are driven with RunFor instead.
 func (s *Sim) RunCycle() {
@@ -853,11 +496,7 @@ func (s *Sim) Fail(nodeID id.ID) {
 	s.nodes[ni].alive = false
 	s.setAliveBit(ni, false)
 	s.alive--
-	if s.sharded() {
-		if s.watchedSharded(ni) {
-			s.pendingDowns = append(s.pendingDowns, nodeID)
-		}
-	} else if len(s.watchers[nodeID]) > 0 {
+	if s.watched(ni) {
 		s.pendingDowns = append(s.pendingDowns, nodeID)
 	}
 }
@@ -880,20 +519,10 @@ func (s *Sim) Revive(nodeID id.ID) {
 	s.nodes[ni].parked = nil
 	for _, ev := range parked {
 		s.seq++
-		if s.sharded() {
-			if ev.kind == kindPeriodic {
-				s.enqueuePeriodic(s.now+ev.interval, s.seq, &ev)
-			} else {
-				s.enqueueAt(s.now, s.seq, ev.to).ev = ev
-			}
-			continue
-		}
-		slot := s.newSlot()
-		s.slab[slot] = ev
 		if ev.kind == kindPeriodic {
-			push(&s.pheap, heapEvent{at: s.now + ev.interval, seq: s.seq, slot: slot})
+			s.enqueuePeriodic(s.now+ev.interval, s.seq, &ev)
 		} else {
-			push(&s.heap, heapEvent{at: s.now, seq: s.seq, slot: slot})
+			s.enqueueAt(s.now, s.seq, ev.to).ev = ev
 		}
 	}
 }
@@ -958,20 +587,21 @@ func (s *Sim) Rand() *rng.Rand { return s.rand }
 
 // Stats returns a copy of the simulator's counters.
 func (s *Sim) Stats() Stats {
-	if s.sharded() {
-		return s.statsSharded()
+	out := s.stats
+	for i := range s.shards {
+		st := &s.shards[i].stats
+		out.Sent += st.sent
+		out.Delivered += st.delivered
+		out.Dropped += st.dropped
+		out.SendFailures += st.sendFailures
+		out.BytesSent += st.bytesSent
 	}
-	return s.stats
+	return out
 }
 
 // Pending returns the number of queued, undelivered messages and one-shot
 // timers (periodic registrations are standing and not counted).
-func (s *Sim) Pending() int {
-	if s.sharded() {
-		return s.queued
-	}
-	return len(s.heap)
-}
+func (s *Sim) Pending() int { return s.queued }
 
 // reachable reports whether traffic may flow from a to b under the current
 // partition (the harness is responsible for injecting reset notifications
@@ -993,19 +623,21 @@ func (s *Sim) Partition(assign func(id.ID) int) {
 	for i := range s.nodes {
 		s.partition[s.nodes[i].id] = assign(s.nodes[i].id)
 	}
-	// Break watched links that now cross the cut.
-	if s.sharded() {
-		s.partitionBreakSharded()
-		return
-	}
-	for watchedNode, ws := range s.watchers {
-		for watcher := range ws {
-			if !s.reachable(watcher, watchedNode) {
-				s.pendingDowns = append(s.pendingDowns, watchedNode)
-				break
+	// Break watched links that now cross the cut, deterministically
+	// (victims sorted, deduplicated) regardless of table layout.
+	var broken []id.ID
+	for i := range s.shards {
+		for d, ws := range s.shards[i].watching {
+			for _, w := range ws {
+				if !s.reachable(w, s.nodes[d].id) {
+					broken = append(broken, s.nodes[d].id)
+					break
+				}
 			}
 		}
 	}
+	slices.Sort(broken)
+	s.pendingDowns = append(s.pendingDowns, slices.Compact(broken)...)
 }
 
 // Heal removes the current network partition. Overlay links do not reappear

@@ -558,9 +558,13 @@ func TestSchedulerEventsParkedAcrossFailure(t *testing.T) {
 		t.Fatalf("failed node saw timers: %v", a.got)
 	}
 	// A dead node's periodic registration must not keep re-arming: it is
-	// parked after its first due firing, so the heaps go quiet.
-	if got := len(s.pheap) + len(s.heap); got != 0 {
-		t.Fatalf("dead node keeps %d events cycling through the heaps", got)
+	// parked after its first due firing, so the schedule goes quiet.
+	if p, r := s.Pending(), len(s.periodic); p != 0 || r != 0 {
+		t.Fatalf("dead node keeps %d events pending and %d periodic rounds armed", p, r)
+	}
+	s.RunFor(40)
+	if r := len(s.periodic); r != 0 {
+		t.Fatalf("dead node's periodic rounds re-armed: %d armed", r)
 	}
 	// Revive: the parked one-shot fires behind current traffic, the parked
 	// periodic resumes one interval from now.

@@ -1,7 +1,4 @@
-// The sharded wave/barrier engine: the event engine every simulated cluster
-// runs by default (NewSharded with shards >= 2). The single-shard engine in
-// netsim.go processes one event at a time off a global heap and stays as the
-// reference the conformance suite compares against; this engine partitions
+// The wave/barrier engine, the simulator's only event engine. It partitions
 // the node table by dense index (idx mod shards) and advances virtual time
 // as a sequence of deterministic barrier steps:
 //
@@ -11,10 +8,9 @@
 //     destination.
 //  2. Hook pre-pass (coordinator, only when Tap or Intercept is installed):
 //     the wave is walked across all shards in global seq order and the
-//     fault-injection hook and trace tap run serially, exactly as the
-//     single-shard engine would run them. This is what keeps stateful
-//     injectors byte-deterministic: hook state evolves in a canonical
-//     order no matter how many shards execute the deliveries.
+//     fault-injection hook and trace tap run serially. This is what keeps
+//     stateful injectors byte-deterministic: hook state evolves in a
+//     canonical order no matter how many shards execute the deliveries.
 //  3. Delivery: each shard delivers its slice of the wave to its own nodes,
 //     in seq order per node — on persistent worker goroutines for large
 //     waves, on the coordinator for small ones. Handler output — sends,
@@ -29,11 +25,11 @@
 //     time advances to the next bucket.
 //
 // Because a FIFO-ordered serial run is exactly "waves processed in (parent
-// seq, birth) order", the merge reproduces the single-shard engine's total
-// delivery order per destination node: with the same seed, a run is
-// byte-identical across shard counts whenever no Intercept hook reschedules
-// traffic (and byte-identical across repeated runs of the same shard count
-// always — the determinism contract sharding must preserve).
+// seq, birth) order", the merge reproduces the delivery order of a serial
+// run that pops one event at a time in (at, seq) order, and waves do not
+// depend on how many shards split them: with the same seed, a run is
+// byte-identical across shard counts and across repeated runs. The tests
+// pin that order against golden digests recorded from such a serial engine.
 //
 // Event records are copied as little as possible. A handler's send is
 // written once, into its shard's output log; the wave that delivers it holds
@@ -51,12 +47,12 @@ package netsim
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 
 	"hyparview/internal/id"
 	"hyparview/internal/msg"
 	"hyparview/internal/peer"
+	"hyparview/internal/rng"
 )
 
 // parallelMinWave is the smallest wave (events across all shards) worth
@@ -161,47 +157,41 @@ func (c *crew) stop() {
 	}
 }
 
-// sharded reports whether the wave/barrier engine is active.
-func (s *Sim) sharded() bool { return len(s.shards) > 0 }
-
-// Shards returns the shard count: 1 for the single-shard heap engine.
-func (s *Sim) Shards() int {
-	if !s.sharded() {
-		return 1
-	}
-	return len(s.shards)
-}
+// Shards returns the shard count.
+func (s *Sim) Shards() int { return len(s.shards) }
 
 // ShardOf returns the shard that delivers to nodeID: the index of the
 // partition whose worker runs the node's handlers. Harnesses use it to
 // stripe state their Delivery callbacks share, so concurrent shards never
-// write the same stripe. It is 0 on the single-shard engine and for unknown
-// nodes.
+// write the same stripe. It is 0 for unknown nodes.
 func (s *Sim) ShardOf(nodeID id.ID) int {
 	ti, ok := s.nodeIndex(nodeID)
-	if !ok || !s.sharded() {
+	if !ok {
 		return 0
 	}
 	return int(ti) % len(s.shards)
 }
 
-// NewSharded returns a simulator whose event engine is partitioned into
-// shards parallel shards (see the package comment of this file). A shard
-// count of one (or less) returns the classic single-shard engine — the
-// reference the conformance suite compares against. Nodes are assigned to
-// shards by dense index modulo the shard count.
+// NewSharded returns a simulator whose node table is partitioned into
+// shards parallel shards (see the package comment of this file); a count
+// below one means one. Nodes are assigned to shards by dense index modulo the
+// shard count.
 func NewSharded(seed uint64, shards int) *Sim {
-	if shards <= 1 {
-		return New(seed)
+	shards = max(shards, 1)
+	s := &Sim{
+		rand:   rng.New(seed),
+		index:  make(map[id.ID]int32),
+		dense:  true,
+		shards: make([]shard, shards),
+		// A single shard has no one to hand work to, and on a single-P
+		// runtime the workers cannot overlap anything and only add a handoff
+		// per wave; the serial path is identical in outcome (shard slices
+		// touch disjoint state either way), so take it. Captured once: tests
+		// that want the concurrent path under -race raise GOMAXPROCS before
+		// construction.
+		waveParallel: shards > 1 && runtime.GOMAXPROCS(0) > 1,
+		shardMask:    -1,
 	}
-	s := newSim(seed)
-	s.shards = make([]shard, shards)
-	// On a single-P runtime the workers cannot overlap anything and only add
-	// a handoff per wave; the serial path is identical in outcome (shard
-	// slices touch disjoint state either way), so take it. Captured once:
-	// tests that want the concurrent path under -race raise GOMAXPROCS
-	// before construction.
-	s.waveParallel = runtime.GOMAXPROCS(0) > 1
 	for i := range s.shards {
 		s.shards[i].sim = s
 	}
@@ -212,10 +202,10 @@ func NewSharded(seed uint64, shards int) *Sim {
 }
 
 // shardOf returns the shard owning the node at table index idx. It runs
-// once per routed event, so power-of-two shard counts take a mask instead
-// of a division.
+// once per routed event, so power-of-two shard counts (one included) take a
+// mask instead of a division.
 func (s *Sim) shardOf(idx int32) *shard {
-	if s.shardMask != 0 {
+	if s.shardMask >= 0 {
 		return &s.shards[int(idx)&s.shardMask]
 	}
 	return &s.shards[int(idx)%len(s.shards)]
@@ -326,13 +316,14 @@ func (s *Sim) enqueuePeriodic(at, seq uint64, ev *event) {
 	pushSevent(&s.periodic, sevent{at: at, seq: seq, ev: *ev})
 }
 
-// sendSharded is the wave-engine send path. During a wave the event is
-// recorded in the sending shard's output log for canonical sequencing at the
-// barrier; from coordinator context (harness Inject, OnCycle and OnPeerDown
-// handlers, hooks) it is sequenced immediately, exactly like the
-// single-shard engine. sh is the sending node's shard (nil for harness
-// sends).
-func (s *Sim) sendSharded(sh *shard, from, to id.ID, m *msg.Message) error {
+// send is the send path of Endpoint.Send and Inject. During a wave the event
+// is recorded in the sending shard's output log for canonical sequencing at
+// the barrier; from coordinator context (harness Inject, OnCycle and
+// OnPeerDown handlers, hooks) it is sequenced immediately. sh is the sending
+// node's shard (nil for harness sends). m is passed by pointer to avoid
+// struct copies on the per-send hot path; it is copied exactly once and never
+// retained.
+func (s *Sim) send(sh *shard, from, to id.ID, m *msg.Message) error {
 	ti, ok := s.nodeIndex(to)
 	if !ok || !s.aliveAt(ti) || !s.reachable(from, to) {
 		if sh != nil && s.inWave {
@@ -353,8 +344,7 @@ func (s *Sim) sendSharded(sh *shard, from, to id.ID, m *msg.Message) error {
 		sh.stats.bytesSent += uint64(m.EncodedSize())
 		return nil
 	}
-	// Coordinator context: synchronous overflow, immediate sequencing —
-	// identical semantics to the single-shard engine.
+	// Coordinator context: synchronous overflow, immediate sequencing.
 	if s.wire >= s.queueLimit() {
 		s.stats.Overflowed++
 		return fmt.Errorf("%w: %d messages in flight (message storm?)", ErrOverflow, s.wire)
@@ -372,32 +362,19 @@ func (s *Sim) sendSharded(sh *shard, from, to id.ID, m *msg.Message) error {
 	return nil
 }
 
-// redeliverSharded is Redeliver on the wave engine: hooks run on the
-// coordinator (the pre-pass), so re-entry always sequences immediately.
-func (s *Sim) redeliverSharded(from, to id.ID, m *msg.Message, delay uint64) error {
-	ti, ok := s.nodeIndex(to)
-	if !ok || !s.aliveAt(ti) {
-		return fmt.Errorf("redeliver %v->%v: %w", from, to, peer.ErrPeerDown)
-	}
-	if s.wire >= s.queueLimit() {
-		s.stats.Overflowed++
-		return fmt.Errorf("%w: %d messages in flight (message storm?)", ErrOverflow, s.wire)
-	}
-	s.wire++
-	s.seq++
-	ev := &s.enqueueAt(s.now+delay, s.seq, ti).ev
-	ev.from, ev.kind, ev.exempt, ev.m = from, kindMessage, true, *m
-	s.stats.Redelivered++
-	return nil
-}
-
-// scheduleSharded handles After (oneshot=true) and Every from an endpoint.
-func (s *Sim) scheduleSharded(sh *shard, self id.ID, idx int32, oneshot bool, delay uint64, m *msg.Message) {
+// schedule handles After (oneshot=true) and Every from an endpoint. Only
+// network messages are subject to the MaxQueue limit: they are what a storm
+// amplifies, while scheduler deliveries are bounded by protocol state (one
+// timer per missing round, one registration per periodic task) — dropping
+// those would wedge timer-owning state machines forever (an armed Plumtree
+// timer that never fires blocks that round's repair permanently), so
+// After/Every stay genuinely infallible as the contract promises.
+func (s *Sim) schedule(sh *shard, self id.ID, idx int32, oneshot bool, delay uint64, m *msg.Message) {
 	kind, interval := kindPeriodic, delay
 	if oneshot {
 		kind, interval = kindTimer, 0
 	}
-	if sh != nil && s.inWave {
+	if s.inWave {
 		r := sh.emit(s.now + delay)
 		r.ev.from, r.ev.to, r.ev.kind, r.ev.exempt, r.ev.interval = self, idx, kind, false, interval
 		r.ev.m = *m
@@ -421,42 +398,6 @@ func (s *Sim) queueLimit() int {
 }
 
 // ---- the barrier loop ----------------------------------------------------
-
-// drainSharded is Drain on the wave engine: periodic schedule frozen.
-func (s *Sim) drainSharded() int {
-	delivered := 0
-	s.flushDownsSharded()
-	for n := len(s.future); n > 0; n = len(s.future) {
-		delivered += s.runInstant(s.future[n-1].at, false)
-		s.flushDownsSharded()
-	}
-	return delivered
-}
-
-// runForSharded is RunFor on the wave engine: periodic rounds fire too.
-func (s *Sim) runForSharded(d uint64) int {
-	target := s.now + d
-	delivered := 0
-	s.flushDownsSharded()
-	for {
-		var t uint64
-		ok := false
-		if n := len(s.future); n > 0 {
-			t, ok = s.future[n-1].at, true
-		}
-		if len(s.periodic) > 0 && (!ok || s.periodic[0].at < t) {
-			t, ok = s.periodic[0].at, true
-		}
-		if !ok || t > target {
-			if target > s.now {
-				s.now = target
-			}
-			return delivered
-		}
-		delivered += s.runInstant(t, true)
-		s.flushDownsSharded()
-	}
-}
 
 // runInstant processes every event due at instant t (which may lie in the
 // past for stale periodic rounds after a Drain advanced the clock), wave by
@@ -587,10 +528,9 @@ func (s *Sim) runWaves(total int) {
 }
 
 // prePass walks the wave across all shards in global seq order, running the
-// Intercept hook and the Tap exactly as the single-shard engine would:
-// serially, in canonical delivery order, on the coordinator goroutine. Hook
-// verdicts are recorded on the events (skip / replaced message) and applied
-// during delivery.
+// Intercept hook and the Tap serially, in canonical delivery order, on the
+// coordinator goroutine. Hook verdicts are recorded on the events (skip /
+// replaced message) and applied during delivery.
 func (s *Sim) prePass() {
 	for {
 		var best *shard
@@ -642,11 +582,11 @@ func (sh *shard) runWave() {
 	for i, se := range cur {
 		// Lookahead touch: the wave vector already knows the next few
 		// destinations, so start their node records' cache misses now and
-		// let out-of-order execution overlap them with this delivery. The
-		// serial heap engine structurally cannot do this — the next event
-		// is only known after the current pop. At 1M nodes every delivery
-		// touches DRAM-cold node state, and this memory-level parallelism
-		// is worth more than the arithmetic around it.
+		// let out-of-order execution overlap them with this delivery. A
+		// one-event-at-a-time heap structurally cannot do this — the next
+		// event is only known after the current pop. At 1M nodes every
+		// delivery touches DRAM-cold node state, and this memory-level
+		// parallelism is worth more than the arithmetic around it.
 		if i+waveLookahead < len(cur) {
 			if s.nodes[cur[i+waveLookahead].ev.to].alive {
 				sh.touched++ // keeps the load live past dead-code elimination
@@ -715,13 +655,13 @@ func (sh *shard) deliver(se *sevent) int {
 }
 
 // runSerial delivers a small wave, and whatever it triggers at this
-// instant, the way the heap engine does: one event at a time in global
-// (at, seq) order on the coordinator, sequencing each handler's output as it
-// is made. Without hooks that is exactly the order the wave loop produces
-// (see the package comment), so this is purely a cost decision: a
-// cycle-driven run is millions of instants of a few events each, and for
-// them the per-wave bookkeeping — output logs, merge, vector swaps — costs
-// more than the deliveries. The backlog goes back to the shards' wave
+// instant, one event at a time in global (at, seq) order on the
+// coordinator, sequencing each handler's output as it is made. Without hooks
+// that is exactly the order the wave loop produces (see the package
+// comment), so this is purely a cost decision: a cycle-driven run is
+// millions of instants of a few events each, and for them the per-wave
+// bookkeeping — output logs, merge, vector swaps — costs more than the
+// deliveries. The backlog goes back to the shards' wave
 // vectors, for the wave loop, once it reaches parallelMinWave; the vectors
 // are left empty when the instant quiesces.
 func (s *Sim) runSerial() int {
@@ -767,9 +707,9 @@ func (s *Sim) runSerial() int {
 // merge by (parent seq, birth index) — each shard's log is already sorted —
 // assigning global sequence numbers, drawing latency delays from the root
 // stream in merge order, and routing events to their destinations. This
-// order is exactly the order in which a single-shard run would have made the
-// same schedule calls, which is what keeps traces byte-identical across
-// shard counts.
+// order is exactly the order in which a one-event-at-a-time run would have
+// made the same schedule calls, which is what keeps traces byte-identical
+// across shard counts.
 func (s *Sim) mergeOutputs() {
 	for i := range s.shards {
 		s.shards[i].opos = 0
@@ -823,12 +763,14 @@ func (s *Sim) mergeOutputs() {
 	}
 }
 
-// ---- sharded liveness bookkeeping ---------------------------------------
+// ---- liveness bookkeeping ------------------------------------------------
 
-// flushDownsSharded is flushDowns over the per-shard watch tables: for each
-// pending victim the watcher lists are unioned across shards, sorted, and
-// notified exactly like the single-shard engine.
-func (s *Sim) flushDownsSharded() {
+// flushDowns delivers pending connection-reset notifications to live
+// watchers. Notifications run before queued messages so that a batch of
+// simultaneous failures is observed atomically, as the paper's methodology
+// induces them. For each pending victim the per-shard watcher lists are
+// unioned, sorted, and notified in ascending id order.
+func (s *Sim) flushDowns() {
 	for len(s.pendingDowns) > 0 {
 		victim := s.pendingDowns[0]
 		s.pendingDowns = s.pendingDowns[1:]
@@ -867,25 +809,6 @@ func (s *Sim) flushDownsSharded() {
 			}
 		}
 	}
-}
-
-// partitionBreakSharded queues reset notifications for watched links that
-// cross a freshly installed partition, deterministically (victims sorted,
-// deduplicated) regardless of table layout.
-func (s *Sim) partitionBreakSharded() {
-	var broken []id.ID
-	for i := range s.shards {
-		for d, ws := range s.shards[i].watching {
-			for _, w := range ws {
-				if !s.reachable(w, s.nodes[d].id) {
-					broken = append(broken, s.nodes[d].id)
-					break
-				}
-			}
-		}
-	}
-	slices.Sort(broken)
-	s.pendingDowns = append(s.pendingDowns, slices.Compact(broken)...)
 }
 
 // watch registers watcher (a node on this shard) as watching dst. A node the
@@ -935,8 +858,8 @@ func (sh *shard) drop(watcher id.ID, di int32) {
 	sh.watching[di] = ws[:len(ws)-1]
 }
 
-// watchedSharded reports whether any node watches victim.
-func (s *Sim) watchedSharded(vi int32) bool {
+// watched reports whether any node watches the node at table index vi.
+func (s *Sim) watched(vi int32) bool {
 	for i := range s.shards {
 		if ws := s.shards[i].watching; int(vi) < len(ws) && len(ws[vi]) > 0 {
 			return true
@@ -958,20 +881,6 @@ func searchID(xs []id.ID, x id.ID) int {
 		}
 	}
 	return lo
-}
-
-// statsSharded merges the per-shard counter slices into the global Stats.
-func (s *Sim) statsSharded() Stats {
-	out := s.stats
-	for i := range s.shards {
-		st := &s.shards[i].stats
-		out.Sent += st.sent
-		out.Delivered += st.delivered
-		out.Dropped += st.dropped
-		out.SendFailures += st.sendFailures
-		out.BytesSent += st.bytesSent
-	}
-	return out
 }
 
 // ---- the periodic heap ---------------------------------------------------

@@ -1,14 +1,21 @@
 package netsim
 
-// Engine-level pins for the sharded wave/barrier engine (shards.go):
-// cross-shard-count trace equality on raw rings, hook re-entry (Redeliver
-// from an Intercept hook) while waves run on shard goroutines, and a
-// parallel-wave exerciser that the CI -race step leans on. Tests that need
-// the concurrent path raise GOMAXPROCS before construction: NewSharded
-// captures it, and a single-P runtime would otherwise take the (identical in
-// outcome) serial wave path.
+// Engine-level pins for the wave/barrier engine (shards.go): golden traces
+// on raw rings at every shard count, hook re-entry (Redeliver from an
+// Intercept hook) while waves run on shard goroutines, and a parallel-wave
+// exerciser that the CI -race step leans on. Tests that need the concurrent
+// path raise GOMAXPROCS before construction: NewSharded captures it, and a
+// single-P runtime would otherwise take the (identical in outcome) serial
+// wave path.
+//
+// The golden digests and counters below were recorded from the serial heap
+// engine (one event at a time off a global (at, seq) heap) that the
+// simulator carried as its reference until commit 0a9dd4e, run at the same
+// seeds.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"runtime"
 	"strings"
@@ -37,18 +44,25 @@ func ringTrace(shards, n, msgs, hops int) (string, Stats) {
 	return b.String(), s.Stats()
 }
 
+// shardMatrix is the shard-count matrix the golden comparisons sweep.
+var shardMatrix = []int{1, 2, 4, 8}
+
+// digest is the hex SHA-256 of a trace: the form golden traces are pinned in.
+func digest(trace string) string {
+	sum := sha256.Sum256([]byte(trace))
+	return hex.EncodeToString(sum[:])
+}
+
 func TestShardedMatchesLegacyEngineTrace(t *testing.T) {
-	ref, refStats := ringTrace(1, 200, 96, 16)
-	if ref == "" {
-		t.Fatal("empty reference trace")
-	}
-	for _, shards := range []int{2, 4, 8} {
+	const golden = "7084a8e2e9fa2d3539e1e739228f1f130fc58804f9323d98af8a7445a6617cfe"
+	goldenStats := Stats{Sent: 1632, Delivered: 1632, BytesSent: 97920}
+	for _, shards := range shardMatrix {
 		got, gotStats := ringTrace(shards, 200, 96, 16)
-		if got != ref {
-			t.Errorf("shards=%d: trace diverged from the single-shard engine", shards)
+		if d := digest(got); d != golden {
+			t.Errorf("shards=%d: trace digest %s, want the golden %s", shards, d, golden)
 		}
-		if gotStats != refStats {
-			t.Errorf("shards=%d: stats diverged: %+v vs %+v", shards, gotStats, refStats)
+		if gotStats != goldenStats {
+			t.Errorf("shards=%d: stats diverged: %+v, want %+v", shards, gotStats, goldenStats)
 		}
 	}
 }
@@ -190,8 +204,8 @@ func (p *fanProc) OnCycle() {}
 // TestHooklessRunMatchesHeapEngine pins the serial path of the wave engine
 // (runSerial, taken by small waves when no hook is installed) together with
 // its hand-offs to and from the wave loop: per-node delivery logs and every
-// counter equal the heap engine's at every shard count, with and without
-// latency, with parallel waves enabled.
+// counter equal the golden values recorded from the heap engine, at every
+// shard count, with and without latency, with parallel waves enabled.
 func TestHooklessRunMatchesHeapEngine(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
@@ -226,15 +240,19 @@ func TestHooklessRunMatchesHeapEngine(t *testing.T) {
 		}
 		return b.String(), s.Stats()
 	}
-	for _, latency := range []bool{false, true} {
-		ref, refStats := run(1, latency)
-		for _, shards := range []int{2, 4, 8} {
+	// Latency changes the delivery order and timestamps, not the counters.
+	goldenStats := Stats{Sent: 1830, Delivered: 1830, SendFailures: 14, BytesSent: 109800}
+	for latency, golden := range map[bool]string{
+		false: "e1deb1f0ec4210d702b9462248919a2436389f16659da29121330f27eab5f98e",
+		true:  "4a36cf4b55d5304b7f242c0d3283bfcf7a202c0cdcf19a5560d1ad6fdd647119",
+	} {
+		for _, shards := range shardMatrix {
 			got, gotStats := run(shards, latency)
-			if got != ref {
-				t.Errorf("latency=%v shards=%d: delivery logs diverged from the heap engine", latency, shards)
+			if d := digest(got); d != golden {
+				t.Errorf("latency=%v shards=%d: delivery-log digest %s, want the golden %s", latency, shards, d, golden)
 			}
-			if gotStats != refStats {
-				t.Errorf("latency=%v shards=%d: stats diverged: %+v vs %+v", latency, shards, gotStats, refStats)
+			if gotStats != goldenStats {
+				t.Errorf("latency=%v shards=%d: stats diverged: %+v, want %+v", latency, shards, gotStats, goldenStats)
 			}
 		}
 	}
@@ -242,19 +260,26 @@ func TestHooklessRunMatchesHeapEngine(t *testing.T) {
 
 // TestShardWorkersStopWithSim pins the worker lifecycle: a Sim whose large
 // waves started persistent shard workers stops them once it is garbage, so
-// a process building many clusters does not accumulate goroutines.
+// a process building many clusters does not accumulate goroutines. A
+// single-shard Sim has nobody to hand a wave to and never starts any.
 func TestShardWorkersStopWithSim(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 
-	base := runtime.NumGoroutine()
-	for k := 0; k < 8; k++ {
-		s := buildRingSharded(256, 4)
+	wave := func(shards int) *Sim {
+		s := buildRingSharded(256, shards)
 		for i := 0; i < 256; i++ { // one wave of 256 events: over parallelMinWave
 			_ = s.Inject(id.ID(i+1), id.ID((i+1)%256+1), msg.Message{Type: msg.Gossip, Round: uint64(i), TTL: 2})
 		}
 		s.Drain()
-		if s.crew == nil {
+		return s
+	}
+	base := runtime.NumGoroutine()
+	if s := wave(1); s.crew != nil {
+		t.Fatal("a single-shard Sim started shard workers")
+	}
+	for k := 0; k < 8; k++ {
+		if s := wave(4); s.crew == nil {
 			t.Fatal("a 256-event wave on 4 Ps did not start the shard workers")
 		}
 	}

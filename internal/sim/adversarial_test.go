@@ -116,22 +116,13 @@ func TestInjectionPreservesTraceDeterminism(t *testing.T) {
 }
 
 // TestInjectionTraceDeterminismShardMatrix extends the injection-determinism
-// pin over the wave engine: at every shard count, same seed ⇒ identical
-// fault stats and byte-identical traces, and every wave-engine shard count
-// (2, 4, 8) gives the same trace. The hook pre-pass runs injector state in
-// canonical order over whole waves, and waves do not depend on how many
-// shards split them or on whether they are delivered in parallel.
-//
-// The single-shard heap engine is the exception: Redeliver artifacts are
-// sequenced at hook time, which on the wave engine is before the wave's own
-// output and on the heap engine is in the middle of it, so the heap engine's
-// injected trace legitimately differs (aggregate equivalence is pinned by the
-// conformance suite). That is why the contract under injection is per shard
-// count, and why Options.Shards defaults to a constant rather than to
-// GOMAXPROCS or the core count: a host-dependent default could move a run
-// between the engines and change its injected trace from machine to machine.
+// pin over the shard counts: at every shard count, same seed ⇒ identical
+// fault stats and byte-identical traces, and every shard count gives the
+// same trace. The hook pre-pass runs injector state in canonical order over
+// whole waves, and waves do not depend on how many shards split them or on
+// whether they are delivered in parallel.
 func TestInjectionTraceDeterminismShardMatrix(t *testing.T) {
-	wave := ""
+	ref := ""
 	for _, shards := range shardMatrix {
 		opts := Options{N: 120, Seed: 7, Shards: shards, Broadcast: BroadcastPlumtree}
 		a, sa := injectedTrace(opts, 5, 3)
@@ -148,12 +139,10 @@ func TestInjectionTraceDeterminismShardMatrix(t *testing.T) {
 		if a != b {
 			t.Fatalf("shards=%d: same seed produced diverging traces under injection", shards)
 		}
-		switch {
-		case shards == 1:
-		case wave == "":
-			wave = a
-		case a != wave:
-			t.Fatalf("shards=%d: injected trace diverged from shards=%d", shards, shardMatrix[1])
+		if ref == "" {
+			ref = a
+		} else if a != ref {
+			t.Fatalf("shards=%d: injected trace diverged from shards=%d", shards, shardMatrix[0])
 		}
 	}
 }

@@ -24,7 +24,7 @@ import (
 func TestBroadcastSteadyStateZeroAlloc(t *testing.T) {
 	c := NewCluster(HyParView, Options{N: 300, Seed: 1})
 	c.Stabilize(2)
-	for i := 0; i < 3; i++ { // warm heaps, slab, scratch buffers
+	for i := 0; i < 3; i++ { // warm wave vectors, buckets, scratch buffers
 		if rel := c.Broadcast(); rel != 1.0 {
 			t.Fatalf("warm-up reliability %v, want 1.0", rel)
 		}
@@ -60,11 +60,10 @@ func TestBroadcastSteadyStateZeroAllocPlumtree(t *testing.T) {
 	}
 }
 
-// TestShardedBroadcastSteadyStateZeroAlloc extends the zero-alloc pin to the
-// wave/barrier engine: once its wave vectors, output logs and buckets are
-// warm, a full-cluster broadcast — wave formation, delivery, canonical
-// merge — must allocate nothing, exactly like the single-shard heap engine.
-// The pin holds at every P count: with more than one P, large waves run on
+// TestShardedBroadcastSteadyStateZeroAlloc extends the zero-alloc pin to
+// several shards: once the wave vectors, output logs and buckets are warm, a
+// full-cluster broadcast — wave formation, delivery, canonical merge — must
+// allocate nothing. The pin holds at every P count: with more than one P, large waves run on
 // the engine's persistent shard workers, and handing a wave to them must not
 // allocate either. It covers an explicit 4-shard engine and the engine a
 // zero Options selects.

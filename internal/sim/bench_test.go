@@ -1,7 +1,7 @@
 package sim
 
 // Full-stack cluster benchmarks: the companion to internal/netsim's
-// BenchmarkEngine pair. Where the engine benchmarks isolate heap push/pop and
+// BenchmarkEngine pair. Where the engine benchmarks isolate wave formation and
 // dispatch with a protocol-free forwarding ring, these run the complete
 // HyParView + broadcast stack — membership views, gossip dedup caches, the
 // delivery tracker — so the gap between raw engine throughput and protocol
@@ -12,7 +12,7 @@ package sim
 // BenchmarkEngine) and the steady-state allocations per full-cluster
 // broadcast. BenchmarkCluster10k/100k measure the engine a zero
 // Options.Shards selects — what users run; BenchmarkCluster1M compares
-// engines explicitly. Run with:
+// shard counts explicitly. Run with:
 //
 //	go test ./internal/sim/ -run '^$' -bench BenchmarkCluster -benchtime 20x
 
@@ -77,10 +77,9 @@ func BenchmarkCluster100k(b *testing.B) {
 }
 
 // BenchmarkCluster1M is the million-node barrier benchmark: the complete
-// HyParView + flood stack at n=1,000,000, on the single-shard reference
-// engine and on the sharded wave/barrier engine. One iteration is one
-// full-population broadcast (~5M protocol events); each run also reports the
-// marginal bytes/node of the built cluster. Expect minutes per sub-benchmark
+// HyParView + flood stack at n=1,000,000, at one, two and four shards. One
+// iteration is one full-population broadcast (~5M protocol events); each run
+// also reports the marginal bytes/node of the built cluster. Expect minutes per sub-benchmark
 // (the build alone walks one million one-by-one joins); run with
 // -benchtime 3x and a generous -timeout.
 func BenchmarkCluster1M(b *testing.B) {

@@ -120,15 +120,14 @@ type Options struct {
 	N int
 	// Seed drives all randomness of the run.
 	Seed uint64
-	// Shards selects the simulator's event engine. Zero (or less) takes
-	// DefaultShards; >= 2 runs the wave/barrier engine
-	// (netsim.NewSharded), which partitions the node table across that many
-	// shards and delivers large event waves in parallel; 1 runs the serial
-	// heap engine, kept as the reference the conformance suite compares
-	// against. Without fault injection, traces are byte-identical at every
-	// shard count; with it they are pinned per (Seed, Shards) pair. Delivery
-	// callbacks (pub/sub handlers included) may run concurrently from shard
-	// workers on the wave engine and must guard state they share.
+	// Shards is the number of shards the simulator's wave/barrier engine
+	// (netsim.NewSharded) partitions the node table into; large event waves
+	// are delivered in parallel across them. Zero (or less) takes
+	// DefaultShards; 1 delivers everything on the calling goroutine. The
+	// shard count never changes a run: the same Seed gives a byte-identical
+	// trace at every count, fault injection included. With more than one
+	// shard, delivery callbacks (pub/sub handlers included) may run
+	// concurrently from shard workers and must guard state they share.
 	Shards int
 	// Fanout is the gossip fan-out for the peer-sampling protocols
 	// (paper §5.1: 4). HyParView floods and ignores it.
@@ -201,13 +200,9 @@ type Options struct {
 	ShuffleInterval uint64
 }
 
-// DefaultShards is the shard count a zero Options.Shards selects: the
-// wave/barrier engine with two shards. It is a constant, not GOMAXPROCS or
-// the core count, because a run under fault injection is reproducible only
-// per shard count: a host-dependent default would make the same seed give
-// different traces on different machines. On a two-core host four shards
-// were no faster than two and cost more memory (see docs/EXPERIMENTS.md,
-// "The default engine").
+// DefaultShards is the shard count a zero Options.Shards selects. It is the
+// measured choice: on a two-core host four shards were no faster than two
+// and cost more memory (see docs/EXPERIMENTS.md, "The default engine").
 const DefaultShards = 2
 
 // withDefaults fills unset options.

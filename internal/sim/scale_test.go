@@ -2,7 +2,7 @@ package sim
 
 // Production-scale smoke: the ROADMAP's north star is simulating overlays at
 // the scale PeerSim ran for the paper (§5 uses n=10,000) and beyond. The
-// rewritten event engine — index-based node table, pooled single event heap —
+// rewritten event engine — index-based node table, time-bucketed waves —
 // makes an n=100,000 HyParView population practical; this test proves it
 // end to end: build, stabilize, broadcast, full reliability.
 

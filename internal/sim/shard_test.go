@@ -1,14 +1,17 @@
 package sim
 
-// The shard-determinism matrix: the sharded wave/barrier engine must honor
-// the repository's determinism contract at every shard count — same seed +
-// same shard count ⇒ byte-identical event traces, fault injection included —
-// and, when no Intercept hook reschedules traffic, the trace must be
-// byte-identical to the single-shard reference engine, timestamps included
-// (the canonical barrier merge reproduces the serial delivery order exactly;
-// see internal/netsim/shards.go).
+// The shard-determinism matrix: the wave/barrier engine must honor the
+// repository's determinism contract at every shard count — same seed ⇒
+// byte-identical event traces, timestamps included, whatever the shard
+// count (the canonical barrier merge reproduces the serial delivery order
+// exactly; see internal/netsim/shards.go). The expected traces are pinned as
+// SHA-256 digests of the Tap text, recorded from the serial heap engine (one
+// event at a time off a global (at, seq) heap) that the simulator carried as
+// its reference until commit 0a9dd4e, run at the same seeds.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"runtime"
 	"strings"
@@ -23,96 +26,94 @@ import (
 // shardMatrix is the shard-count matrix every determinism test sweeps.
 var shardMatrix = []int{1, 2, 4, 8}
 
-func shardTraceOpts(opts Options, t *testing.T) {
+// traceDigest is the hex SHA-256 of a trace: the form golden traces are
+// pinned in.
+func traceDigest(trace string) string {
+	sum := sha256.Sum256([]byte(trace))
+	return hex.EncodeToString(sum[:])
+}
+
+// shardTraceSweep runs trace twice at every shard count and checks that
+// both runs match the golden digest.
+func shardTraceSweep(t *testing.T, golden string, trace func(shards int) string) {
 	t.Helper()
-	ref := ""
 	for _, shards := range shardMatrix {
-		o := opts
-		o.Shards = shards
-		a := clusterTrace(o, 5, 3)
-		b := clusterTrace(o, 5, 3)
+		a, b := trace(shards), trace(shards)
 		if a == "" {
 			t.Fatalf("shards=%d: empty event trace", shards)
 		}
 		if a != b {
 			t.Fatalf("shards=%d: same seed produced diverging event traces", shards)
 		}
-		if shards == 1 {
-			ref = a
-			continue
-		}
-		if a != ref {
-			t.Fatalf("shards=%d: trace diverged from the single-shard engine", shards)
+		if got := traceDigest(a); got != golden {
+			t.Fatalf("shards=%d: trace digest %s, want the golden %s", shards, got, golden)
 		}
 	}
 }
 
+func shardTraceOpts(t *testing.T, opts Options, golden string) {
+	t.Helper()
+	shardTraceSweep(t, golden, func(shards int) string {
+		o := opts
+		o.Shards = shards
+		return clusterTrace(o, 5, 3)
+	})
+}
+
 func TestShardTraceMatrixFIFO(t *testing.T) {
-	shardTraceOpts(Options{N: 120, Seed: 7, Broadcast: BroadcastPlumtree}, t)
+	shardTraceOpts(t, Options{N: 120, Seed: 7, Broadcast: BroadcastPlumtree},
+		"19c4ea6c3ea64c529e51ab41d708b1ad06ef4947f4fe079863b7183b243c451d")
 }
 
 func TestShardTraceMatrixFlood(t *testing.T) {
-	shardTraceOpts(Options{N: 100, Seed: 11}, t)
+	shardTraceOpts(t, Options{N: 100, Seed: 11},
+		"3c43341b964539c4aa95389117c26e588cc09479aeeb3f950544034cdb8695f6")
 }
 
 func TestShardTraceMatrixPeriodic(t *testing.T) {
-	// Scheduler-driven shuffles exercise the periodic heaps and the RunFor
+	// Scheduler-driven shuffles exercise the periodic heap and the RunFor
 	// wave loop (due rounds spliced into waves by (at, seq)).
-	shardTraceOpts(Options{N: 100, Seed: 5, ShuffleInterval: 20, Broadcast: BroadcastPlumtree}, t)
+	shardTraceOpts(t, Options{N: 100, Seed: 5, ShuffleInterval: 20, Broadcast: BroadcastPlumtree},
+		"f6e16db1571b5be18e409c163e3ac98ca5b77695db172adc1616d23eda942f3e")
 }
 
 func TestShardTraceMatrixLatency(t *testing.T) {
 	// Per-link delays scatter traffic across future time buckets; the merge
 	// must draw every delay from the root stream in canonical order.
-	shardTraceOpts(Options{
+	shardTraceOpts(t, Options{
 		N: 100, Seed: 9, Broadcast: BroadcastPlumtree,
 		LatencyModel: netsim.NewEuclidean(9),
-	}, t)
+	}, "e76a56a66c68f2472ffe8ed9d7dc1460425dd22b6a01c0c08b517a11031cd293")
 }
 
 func TestShardTraceMatrixUnderFailures(t *testing.T) {
 	// Failure notifications (OnPeerDown), parked timers and revives must all
 	// sequence identically across shard counts.
-	ref := ""
-	for _, shards := range shardMatrix {
-		trace := func() string {
-			c := NewCluster(HyParView, Options{
-				N: 150, Seed: 13, Shards: shards, Broadcast: BroadcastPlumtree,
-			})
-			var b strings.Builder
-			c.Sim.Tap = func(from, to id.ID, m msg.Message) {
-				fmt.Fprintf(&b, "%d>%d:%d:%d@%d\n", from, to, m.Type, m.Round, c.Sim.Now())
-			}
-			c.Stabilize(5)
-			c.FailFraction(0.3)
-			c.MeasureBurst(2)
-			victims := 0
-			for _, nodeID := range c.IDs() {
-				if !c.Sim.Alive(nodeID) {
-					c.Sim.Revive(nodeID)
-					victims++
-					if victims == 10 {
-						break
-					}
+	shardTraceSweep(t, "560a7e113b0906f3acfb0e629741942b0ab0be153d75f4413bac2727510d7927", func(shards int) string {
+		c := NewCluster(HyParView, Options{
+			N: 150, Seed: 13, Shards: shards, Broadcast: BroadcastPlumtree,
+		})
+		var b strings.Builder
+		c.Sim.Tap = func(from, to id.ID, m msg.Message) {
+			fmt.Fprintf(&b, "%d>%d:%d:%d@%d\n", from, to, m.Type, m.Round, c.Sim.Now())
+		}
+		c.Stabilize(5)
+		c.FailFraction(0.3)
+		c.MeasureBurst(2)
+		victims := 0
+		for _, nodeID := range c.IDs() {
+			if !c.Sim.Alive(nodeID) {
+				c.Sim.Revive(nodeID)
+				victims++
+				if victims == 10 {
+					break
 				}
 			}
-			c.Stabilize(3)
-			c.MeasureBurst(2)
-			return b.String()
 		}
-		a, b := trace(), trace()
-		if a == "" {
-			t.Fatalf("shards=%d: empty event trace", shards)
-		}
-		if a != b {
-			t.Fatalf("shards=%d: failure/revive run is not deterministic", shards)
-		}
-		if shards == 1 {
-			ref = a
-		} else if a != ref {
-			t.Fatalf("shards=%d: failure/revive trace diverged from the single-shard engine", shards)
-		}
-	}
+		c.Stabilize(3)
+		c.MeasureBurst(2)
+		return b.String()
+	})
 }
 
 // TestShardedClusterRaceSmoke is the full-stack companion to netsim's
