@@ -27,15 +27,15 @@ import (
 
 // DefaultSeenWindow is the default window, in rounds, of the per-node
 // delivered-message cache (Config.SeenWindow): a node remembers (and
-// deduplicates) the last SeenWindow round identifiers it delivered. Rounds
-// are allocated monotonically, so the direct-mapped cache behaves as a ring
-// over the most recent rounds; a copy arriving more than SeenWindow rounds
+// deduplicates) the last SeenWindow distinct round identifiers it delivered,
+// evicting in insertion order; a copy arriving more than SeenWindow rounds
 // late would be re-delivered, the bounded-memory trade every deployed
 // message-id cache makes. Deliveries of one round are always fully drained
 // before the harness starts the next, so the window only has to cover the
 // rounds genuinely in flight at once; 128 keeps the per-node footprint at
-// ~3KB (a 256-slot open-addressed table plus the 128-entry eviction ring) —
-// flat for the life of the node — even at 100k-node populations.
+// 1.5 KiB (the 128-entry ring of rounds plus a 256-slot table of 2-byte ring
+// positions) — flat for the life of the node — even at 100k-node
+// populations.
 const DefaultSeenWindow = 128
 
 // Mode selects the forwarding strategy.

@@ -6,8 +6,9 @@ import "hyparview/internal/roundcache"
 // statistics cache. The harness measures one round at a time (each broadcast
 // is fully drained, read and Forgotten before the next), so the window only
 // has to cover rounds measured concurrently; 1024 leaves two orders of
-// magnitude of slack while keeping the tracker a flat 32KB for the life of a
-// run.
+// magnitude of slack while keeping each stripe a flat 36 KiB for the life of
+// a run (an 8-byte ring slot, two 2-byte hash slots and a 24-byte roundStats
+// per round).
 const TrackerWindow = 1024
 
 // Tracker aggregates per-round delivery statistics across a simulated

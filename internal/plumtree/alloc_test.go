@@ -92,6 +92,27 @@ func TestSteadyStateDeliveryZeroAlloc(t *testing.T) {
 	if n.Control().PrunesSent == 0 {
 		t.Fatal("duplicate path never pruned; steady state not exercised")
 	}
+
+	// The announcement overtaking its payload: an IHAVE from lazy peer 3
+	// opens a missing-round entry and arms its timer, then the eager copy
+	// from 2 delivers the round and closes the entry again.
+	lateEager := func() {
+		round++
+		n.Deliver(3, msg.Message{Type: msg.PlumtreeIHave, Sender: 3, Round: round, Hops: 1})
+		if n.miss.n != 1 {
+			t.Fatalf("IHAVE before payload: %d missing entries, want 1", n.miss.n)
+		}
+		n.Deliver(2, msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: round, Hops: 1, Payload: payload})
+		if n.miss.n != 0 {
+			t.Fatalf("payload left %d missing entries, want 0", n.miss.n)
+		}
+	}
+	for i := 0; i < DefaultCacheWindow+8; i++ {
+		lateEager()
+	}
+	if allocs := testing.AllocsPerRun(200, lateEager); allocs != 0 {
+		t.Fatalf("IHAVE-before-payload delivery allocates %.1f/op, want 0", allocs)
+	}
 }
 
 // TestVersionGateDropsStaleNonNeighbor guards the interaction between the

@@ -56,7 +56,10 @@ import (
 // so GRAFT repair requests can be answered. A round evicted by one more than
 // CacheWindow rounds newer loses its retransmission ability and its
 // duplicate detection, so the window must cover the rounds for which repair
-// can still be pending — in practice the rounds of one burst.
+// can still be pending — in practice the rounds of one burst. At 512 rounds
+// the cache is ~26 KiB per node: an 8-byte ring slot, two 2-byte hash slots
+// and a 40-byte cached entry per round. CacheWindow also bounds the live
+// missing-round entries, which are allocated only as rounds go missing.
 const DefaultCacheWindow = 512
 
 // Config parameterizes a Plumtree node. Zero fields take defaults.
@@ -84,7 +87,8 @@ type Config struct {
 	ReportPeerDown bool
 
 	// CacheWindow is the capacity, in rounds, of the delivered-message
-	// cache (see DefaultCacheWindow). Zero takes the default.
+	// cache and the bound on live missing-round entries (see
+	// DefaultCacheWindow). Zero takes the default.
 	CacheWindow int
 }
 
@@ -102,10 +106,11 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// cached is the per-delivered-round state: the payload is kept for GRAFT
-// retransmissions, hops and parent feed the optimization rule. The payload
-// slice aliases the received message's frozen buffer (see the ownership
-// rules on package peer) — retaining it costs nothing and copies nothing.
+// cached is the per-delivered-round state (40 bytes): the payload is kept
+// for GRAFT retransmissions, hops and parent feed the optimization rule. The
+// payload slice aliases the received message's frozen buffer (see the
+// ownership rules on package peer) — retaining it costs nothing and copies
+// nothing.
 type cached struct {
 	payload []byte
 	topic   uint32 // pub/sub topic tag, preserved across GRAFT retransmission
@@ -117,18 +122,6 @@ type cached struct {
 type source struct {
 	peer id.ID
 	hops uint16
-}
-
-// missing tracks a round known only through announcements. Entries live in a
-// fixed-capacity round cache and hold their announcers in a fixed inline
-// array, so the repair bookkeeping allocates nothing however many rounds
-// churn through it. maxSources bounds the graft fall-back chain; announcers
-// beyond it are dropped, which costs at most repair attempts (a later IHAVE
-// re-announces), never correctness.
-type missing struct {
-	sources [maxSources]source // announcers in arrival order; grafts try them in turn
-	nsrc    uint8              // live prefix of sources
-	timer   bool               // a timer message is in flight for this round
 }
 
 // maxSources is the per-round announcer bound: lazy degree rarely exceeds
@@ -179,7 +172,7 @@ type Node struct {
 	eager idset.Set
 	lazy  idset.Set
 	seen  roundcache.Cache[cached]
-	miss  roundcache.Cache[missing]
+	miss  missTable
 
 	// Reused scratch buffers for the allocation-free hot paths; their
 	// contents are dead between calls (see the ownership rules on package
@@ -214,7 +207,6 @@ func New(env peer.Env, membership peer.Membership, cfg Config, onDeliver gossip.
 		n.sendRef = rs.SendRef
 	}
 	n.seen.Init(cfg.CacheWindow)
-	n.miss.Init(cfg.CacheWindow)
 	return n
 }
 
@@ -268,21 +260,18 @@ func (n *Node) OnCycle() {
 func (n *Node) periodic() {
 	n.reconcile()
 	// Sorted iteration keeps the event trace deterministic under a seed.
-	rounds := n.roundScratch[:0]
-	n.miss.ForEach(func(round uint64, _ *missing) {
-		rounds = append(rounds, round)
-	})
+	rounds := n.miss.appendRounds(n.roundScratch[:0])
 	slices.Sort(rounds)
 	n.roundScratch = rounds
 	for _, round := range rounds {
-		ms := n.miss.Get(round)
+		ms := n.miss.get(round)
 		if ms == nil || ms.timer {
 			continue
 		}
 		if ms.nsrc == 0 {
 			// Every announcer was tried and failed; forget the round until
 			// someone announces it again.
-			n.miss.Remove(round)
+			n.miss.remove(round)
 			continue
 		}
 		n.startTimer(round, 0) // graft behind everything already in flight
@@ -331,7 +320,7 @@ func (n *Node) onGossip(from id.ID, m msg.Message) {
 	*c = cached{payload: m.Payload, topic: m.Topic, hops: hops, parent: from}
 	n.lastRound, n.hasLast = m.Round, true
 	n.delivered++
-	n.miss.Remove(m.Round) // any in-flight timer finds the round delivered
+	n.miss.remove(m.Round) // any in-flight timer finds the round delivered
 	if n.onDeliver != nil {
 		n.onDeliver(m.Round, m.Topic, m.Payload, int(hops))
 	}
@@ -346,12 +335,7 @@ func (n *Node) onIHave(from id.ID, m msg.Message) {
 		n.maybeOptimize(from, m.Hops, c)
 		return
 	}
-	ms, existed := n.miss.Put(m.Round)
-	if !existed {
-		// Fresh (or recycled) entry: reset the live fields.
-		ms.nsrc = 0
-		ms.timer = false
-	}
+	ms := n.miss.put(m.Round, n.cfg.CacheWindow)
 	if int(ms.nsrc) < len(ms.sources) {
 		ms.sources[ms.nsrc] = source{peer: from, hops: m.Hops}
 		ms.nsrc++
@@ -371,9 +355,8 @@ func (n *Node) maybeOptimize(from id.ID, announcedHops uint16, c *cached) {
 	if int(announcedHops)+1+n.cfg.OptimizeThreshold > int(c.hops) {
 		return
 	}
-	// c points into the seen cache; copy the parent out before sending (a
-	// send cannot evict cache entries today, but the pointer's validity
-	// window is documented as "until the next insert").
+	// c points into the seen cache, where values never move: it stays valid
+	// until this round leaves the cache, which no send below can cause.
 	parent := c.parent
 	n.promote(from)
 	// Accept=false: graft the link without requesting a retransmission.
@@ -423,7 +406,7 @@ func (n *Node) onPrune(from id.ID) {
 // onTimer handles a missing-message timer firing (a scheduler-delivered
 // self-addressed IHAVE).
 func (n *Node) onTimer(m msg.Message) {
-	ms := n.miss.Get(m.Round)
+	ms := n.miss.get(m.Round)
 	if ms == nil {
 		return // delivered (or forgotten) while the timer was in flight
 	}
@@ -464,7 +447,7 @@ func (n *Node) timerExpired(round uint64, ms *missing) {
 // IHAVE delivered by the environment's scheduler after delay ticks, behind
 // everything already in flight.
 func (n *Node) startTimer(round uint64, delay uint64) {
-	ms := n.miss.Get(round)
+	ms := n.miss.get(round)
 	if ms == nil {
 		return
 	}
@@ -653,11 +636,11 @@ func (n *Node) Seen(round uint64) bool {
 }
 
 // ResetSeen clears the delivered-message cache and the missing-round state in
-// place; the fixed-capacity caches keep (and recycle) their memory.
+// place; both keep (and recycle) their memory.
 func (n *Node) ResetSeen() {
 	n.hasLast = false
 	n.seen.Reset()
-	n.miss.Reset()
+	n.miss.reset()
 }
 
 // OnPeerDown implements peer.FailureObserver: a connection-level failure

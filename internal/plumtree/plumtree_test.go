@@ -3,6 +3,7 @@ package plumtree
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hyparview/internal/id"
@@ -450,8 +451,78 @@ func TestOnCycleRearmsStalledRepair(t *testing.T) {
 	env.sent = nil
 	n.OnCycle()
 	n.OnCycle()
-	if n.miss.Len() != 0 {
-		t.Errorf("missing entries leaked: %d", n.miss.Len())
+	if n.miss.n != 0 {
+		t.Errorf("missing entries leaked: %d", n.miss.n)
+	}
+}
+
+// TestMissingRoundsEvictOldestAtWindow pins the bound on repair state: once
+// CacheWindow rounds are missing at once, a new announcement evicts the
+// oldest live entry, and only then.
+func TestMissingRoundsEvictOldestAtWindow(t *testing.T) {
+	env := newFakeEnv(1)
+	mem := &fakeMembership{neighbors: []id.ID{2, 3}}
+	n := New(env, mem, Config{CacheWindow: 4}, nil)
+	announce := func(round uint64) {
+		n.Deliver(2, msg.Message{Type: msg.PlumtreeIHave, Sender: 2, Round: round, Hops: 1})
+	}
+	rounds := func() []uint64 {
+		out := n.miss.appendRounds(nil)
+		slices.Sort(out)
+		return out
+	}
+	for r := uint64(1); r <= 4; r++ {
+		announce(r)
+	}
+	announce(2) // a re-announcement is not a new entry
+	if got := rounds(); !reflect.DeepEqual(got, []uint64{1, 2, 3, 4}) {
+		t.Fatalf("missing rounds = %v, want [1 2 3 4]", got)
+	}
+	announce(5)
+	if got := rounds(); !reflect.DeepEqual(got, []uint64{2, 3, 4, 5}) {
+		t.Fatalf("at the window: missing rounds = %v, want the oldest (1) evicted", got)
+	}
+	// A delivery frees a place: the next announcement evicts nothing.
+	n.Deliver(3, msg.Message{Type: msg.PlumtreeGossip, Sender: 3, Round: 3})
+	announce(6)
+	if got := rounds(); !reflect.DeepEqual(got, []uint64{2, 4, 5, 6}) {
+		t.Fatalf("below the window: missing rounds = %v, want [2 4 5 6]", got)
+	}
+	// The evicted round's timer finds nothing to repair.
+	env.sent = nil
+	n.Deliver(1, msg.Message{Type: msg.PlumtreeIHave, Sender: 1, Round: 1})
+	if len(env.sent) != 0 {
+		t.Errorf("timer of an evicted round acted: %v", env.sent)
+	}
+}
+
+// TestPeriodicGraftsInSortedRoundOrder pins the determinism of the periodic
+// housekeeping: entries with announcers left but no timer in flight are
+// re-armed in ascending round order, whatever order they were announced in,
+// so their grafts go out in that order.
+func TestPeriodicGraftsInSortedRoundOrder(t *testing.T) {
+	env := newFakeEnv(1)
+	mem := &fakeMembership{neighbors: []id.ID{2, 3}}
+	n := New(env, mem, Config{TimerDelay: 5}, nil)
+	for _, r := range []uint64{9, 3, 7, 5} {
+		n.Deliver(2, msg.Message{Type: msg.PlumtreeIHave, Sender: 2, Round: r, Hops: 1})
+	}
+	// Lose the armed timers: no expiry is in flight for any entry.
+	env.Advance(5)
+	for i := range n.miss.slots {
+		n.miss.slots[i].timer = false
+	}
+	env.sent = nil
+	n.OnCycle()
+	for _, tm := range env.Advance(0) {
+		n.Deliver(1, tm)
+	}
+	var got []uint64
+	for _, g := range env.sentOfType(msg.PlumtreeGraft) {
+		got = append(got, g.m.Round)
+	}
+	if want := []uint64{3, 5, 7, 9}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("graft rounds = %v, want %v", got, want)
 	}
 }
 

@@ -2,7 +2,9 @@ package roundcache
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 func TestSetBasics(t *testing.T) {
@@ -264,20 +266,173 @@ func TestCacheAgainstModel(t *testing.T) {
 	}
 }
 
-func TestCacheForEach(t *testing.T) {
-	c := New[string](8)
-	for _, r := range []uint64{3, 5, 9} {
-		v, _ := c.Put(r)
-		*v = "x"
-	}
-	seen := map[uint64]bool{}
-	c.ForEach(func(round uint64, v *string) {
-		if *v != "x" {
-			t.Fatalf("round %d value %q", round, *v)
+// TestCacheGetPointerSurvivesOtherRemovals pins the guarantee that values
+// never move: a pointer returned by Get stays valid — same address, same
+// value, writes through it visible to later Gets — across Removes of other
+// rounds and the backward shifts they cause in the hash table.
+func TestCacheGetPointerSurvivesOtherRemovals(t *testing.T) {
+	const capacity = 64
+	c := New[uint64](capacity)
+	// Pick rounds sharing one home slot, so removing the head of their probe
+	// chain must shift the rest back.
+	home := c.t.home(0)
+	var chain []uint64
+	for r := uint64(0); len(chain) < 6; r++ {
+		if c.t.home(r) == home {
+			chain = append(chain, r)
 		}
-		seen[round] = true
-	})
-	if len(seen) != 3 || !seen[3] || !seen[5] || !seen[9] {
-		t.Fatalf("ForEach visited %v", seen)
+	}
+	ptrs := map[uint64]*uint64{}
+	for _, r := range chain {
+		v, _ := c.Put(r)
+		*v = r + 1000
+		ptrs[r] = v
+	}
+	slotBefore := c.t.slotOf(chain[len(chain)-1])
+	for _, r := range chain[:3] {
+		if !c.Remove(r) {
+			t.Fatalf("Remove(%d) = false", r)
+		}
+		delete(ptrs, r)
+	}
+	if c.t.slotOf(chain[len(chain)-1]) == slotBefore {
+		t.Fatal("no backward shift happened; the test does not exercise one")
+	}
+	for r, p := range ptrs {
+		got := c.Get(r)
+		if got != p {
+			t.Fatalf("Get(%d) moved from %p to %p", r, p, got)
+		}
+		if *p != r+1000 {
+			t.Fatalf("round %d value = %d through the old pointer, want %d", r, *p, r+1000)
+		}
+		*p = r + 2000
+	}
+	for r := range ptrs {
+		if v := c.Get(r); *v != r+2000 {
+			t.Fatalf("write through the old pointer lost for round %d: %d", r, *v)
+		}
+	}
+	// Fresh inserts that evict nothing live leave the pointers valid too.
+	for r := uint64(1 << 20); r < 1<<20+capacity-uint64(len(chain)); r++ {
+		c.Put(r)
+	}
+	for r, p := range ptrs {
+		if c.Get(r) != p || *p != r+2000 {
+			t.Fatalf("round %d moved or changed after unrelated inserts", r)
+		}
+	}
+}
+
+// TestCapacityClamp pins the capacity bound: ring positions are stored as
+// uint16 (position+1), so capacity clamps to 1<<15. The protocol layers ask
+// for at most 1,024 (plumtree.DefaultCacheWindow 512, gossip.TrackerWindow
+// 1024, gossip.DefaultSeenWindow 128).
+func TestCapacityClamp(t *testing.T) {
+	for _, asked := range []int{1<<15 + 1, 1 << 20} {
+		s := NewSet(asked)
+		if len(s.t.ring) != 1<<15 || len(s.t.slots) != 1<<16 {
+			t.Fatalf("NewSet(%d): ring %d, table %d; want 1<<15 and 1<<16", asked, len(s.t.ring), len(s.t.slots))
+		}
+	}
+	s := NewSet(1 << 15)
+	for r := uint64(0); r < 1<<15; r++ {
+		s.Add(r)
+	}
+	for r := uint64(0); r < 1<<15; r++ {
+		if !s.Contains(r) {
+			t.Fatalf("round %d lost at full capacity", r)
+		}
+	}
+	s.Add(1 << 15) // evicts round 0, the oldest
+	if s.Contains(0) || !s.Contains(1<<15) || !s.Contains(1) || s.Len() != 1<<15 {
+		t.Fatalf("eviction at full capacity: contains(0)=%v contains(1<<15)=%v len=%d",
+			s.Contains(0), s.Contains(1<<15), s.Len())
+	}
+}
+
+// allocBytes returns the heap bytes one call of f allocates, averaged over
+// runs calls.
+func allocBytes(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+var sink any
+
+// plumtreeCached has the size of plumtree's per-round cached entry
+// (payload slice, topic, hops, parent ID: 40 bytes on 64-bit platforms).
+type plumtreeCached struct {
+	payload []byte
+	topic   uint32
+	hops    uint16
+	parent  uint64
+}
+
+// TestConstructionBytes pins the compact layout: a capacity-c container
+// allocates its c-entry ring (8 bytes each), its 2c-slot table (2 bytes
+// each), c values for a Cache, and its header — each round stored once.
+// The slack covers the header and the allocator's size-class rounding
+// (20,480 B of pointerful values land in the 21,760 B class).
+func TestConstructionBytes(t *testing.T) {
+	within := func(got, want uint64) bool { return got <= want+want/8 }
+	if got, want := allocBytes(200, func() { sink = NewSet(128) }), uint64(128*8+256*2); !within(got, want) {
+		t.Errorf("NewSet(128) allocates %d B, want %d + 12.5%%", got, want)
+	}
+	size := uint64(unsafe.Sizeof(plumtreeCached{}))
+	if got, want := allocBytes(200, func() { sink = New[plumtreeCached](512) }), 512*8+1024*2+512*size; !within(got, want) {
+		t.Errorf("New[plumtreeCached](512) allocates %d B, want %d + 12.5%%", got, want)
+	}
+}
+
+// TestSaturatedDisplacement drives long probe chains through tables whose
+// slots have few or no displacement bits left (capacity 1<<12 keeps 3,
+// 1<<15 keeps none), so lookups and backward shifts must fall back to the
+// ring for the home of saturated entries. Rounds are chosen to share a
+// handful of home slots; every answer is checked against a map.
+func TestSaturatedDisplacement(t *testing.T) {
+	for _, capacity := range []int{1 << 12, 1 << 15} {
+		c := New[uint64](capacity)
+		var rounds []uint64
+		for r := uint64(0); len(rounds) < 600; r++ {
+			if c.t.home(r) < 4 {
+				rounds = append(rounds, r)
+			}
+		}
+		model := map[uint64]uint64{}
+		rnd := rand.New(rand.NewSource(5))
+		for step := 0; step < 4000; step++ {
+			r := rounds[rnd.Intn(len(rounds))]
+			if rnd.Intn(3) == 0 {
+				_, ok := model[r]
+				if c.Remove(r) != ok {
+					t.Fatalf("capacity %d step %d: Remove(%d) disagrees with the model", capacity, step, r)
+				}
+				delete(model, r)
+				continue
+			}
+			v, existed := c.Put(r)
+			if _, ok := model[r]; existed != ok {
+				t.Fatalf("capacity %d step %d: Put(%d) existed=%v, model %v", capacity, step, r, existed, ok)
+			}
+			*v = r * 3
+			model[r] = r * 3
+		}
+		if c.Len() != len(model) {
+			t.Fatalf("capacity %d: Len %d, model %d", capacity, c.Len(), len(model))
+		}
+		for _, r := range rounds {
+			v := c.Get(r)
+			want, ok := model[r]
+			if (v != nil) != ok || ok && *v != want {
+				t.Fatalf("capacity %d: Get(%d) = %v, model %d/%v", capacity, r, v, want, ok)
+			}
+		}
 	}
 }
